@@ -30,6 +30,8 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.collector import collector_paused
+
 
 def _load(path: str):
     from repro.frontend import load_app_from_dir
@@ -448,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    with collector_paused():
+        return args.func(args)
 
 
 if __name__ == "__main__":

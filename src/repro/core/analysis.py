@@ -815,31 +815,45 @@ class GuiReferenceAnalysis:
             return cached
         tree = self.app.resources.layout(layout_id.name)
         graph = self.graph
-        resources = self.app.resources
         rule = op.kind.value
         # Everything the instantiation creates is justified by the
         # layout id reaching the operation's argument port.
         layout_premise = (flow_fact(OpArg(op, 0), layout_id),)
-
-        def instantiate(node: LayoutNode, path: Tuple[int, ...]) -> InflViewNode:
-            infl = graph.infl_view(op.site, layout_id.name, path, node.view_class, node.id_name)
-            self._seed(infl, rule, layout_premise)
-            if node.id_name is not None:
-                id_node = graph.view_id(node.id_name, resources.view_id(node.id_name))
-                self._seed(id_node)
-                graph.add_rel(RelKind.HAS_ID, infl, id_node, rule, layout_premise)
-            if node.on_click is not None:
-                self._onclick_names[infl] = node.on_click
-            for child_index, child in enumerate(node.children):
-                child_infl = instantiate(child, path + (child_index,))
-                graph.add_rel(RelKind.CHILD, infl, child_infl, rule, layout_premise)
-            return infl
-
-        root = instantiate(tree.root, ())
+        root = self._instantiate_view(
+            op, layout_id.name, tree.root, (), rule, layout_premise
+        )
         graph.add_rel(RelKind.INFL_ROOT, root, op, rule, layout_premise)
         graph.add_rel(RelKind.LAYOUT_ORIGIN, root, layout_id, rule, layout_premise)
         self._inflated[key] = root
         return root
+
+    def _instantiate_view(
+        self,
+        op: OpNode,
+        layout_name: str,
+        node: LayoutNode,
+        path: Tuple[int, ...],
+        rule: str,
+        premise: Tuple[Fact, ...],
+    ) -> InflViewNode:
+        """Create the inflated-view node for ``node`` and, in preorder,
+        its subtree (a method, not a closure, so no reference cycle
+        outlives the analysis)."""
+        graph = self.graph
+        infl = graph.infl_view(op.site, layout_name, path, node.view_class, node.id_name)
+        self._seed(infl, rule, premise)
+        if node.id_name is not None:
+            id_node = graph.view_id(node.id_name, self.app.resources.view_id(node.id_name))
+            self._seed(id_node)
+            graph.add_rel(RelKind.HAS_ID, infl, id_node, rule, premise)
+        if node.on_click is not None:
+            self._onclick_names[infl] = node.on_click
+        for child_index, child in enumerate(node.children):
+            child_infl = self._instantiate_view(
+                op, layout_name, child, path + (child_index,), rule, premise
+            )
+            graph.add_rel(RelKind.CHILD, infl, child_infl, rule, premise)
+        return infl
 
     def _op_inflate1(self, op: OpNode) -> bool:
         changed = False

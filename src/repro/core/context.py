@@ -42,13 +42,12 @@ def _copy_method(method: Method, new_name: Optional[str] = None) -> Method:
     clone = Method(
         new_name or method.name,
         method.class_name,
-        params=[],
+        params=[(name, method.local_type(name)) for name in method.param_names],
         return_type=method.return_type,
         is_static=method.is_static,
         is_abstract=method.is_abstract,
     )
     clone.locals = {name: copy.copy(local) for name, local in method.locals.items()}
-    clone.param_names = list(method.param_names)
     clone.body = [copy.deepcopy(stmt) for stmt in method.body]
     return clone
 

@@ -33,28 +33,40 @@ SCHEMA = "repro.diff/1"
 
 def solution_fingerprint(result: AnalysisResult) -> Dict[str, object]:
     """A canonical, order-independent digest of the full solution."""
+    # Each node is rendered once per call: a node reappears in every
+    # points-to set and edge that mentions it.
+    names: Dict[object, str] = {}
+
+    def name(node: object) -> str:
+        text = names.get(node)
+        if text is None:
+            text = names[node] = str(node)
+        return text
+
     pts = {
-        str(node): tuple(sorted(str(v) for v in values))
+        name(node): tuple(sorted(name(v) for v in values))
         for node, values in result.pts.items()
         if values
     }
     rels: Dict[str, Tuple[str, ...]] = {}
     for kind in RelKind:
         edges = sorted(
-            f"{src} -> {dst}" for src, dst in result.graph.rel_edges(kind)
+            f"{name(src)} -> {name(dst)}" for src, dst in result.graph.rel_edges(kind)
         )
         rels[kind.name] = tuple(edges)
     flows = tuple(
-        sorted(f"{src} -> {dst}" for src, dst in result.graph.flow_edges())
+        sorted(
+            f"{name(src)} -> {name(dst)}" for src, dst in result.graph.flow_edges()
+        )
     )
     xml = tuple(
         sorted(
-            f"{b.activity_class}: {b.view} -> {b.handler}"
+            f"{b.activity_class}: {name(b.view)} -> {b.handler}"
             for b in result.xml_handlers
         )
     )
     menus = {
-        class_name: tuple(sorted(str(item) for item in items))
+        class_name: tuple(sorted(name(item) for item in items))
         for class_name, items in result.menu_items_by_class.items()
         if items
     }

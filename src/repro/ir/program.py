@@ -79,6 +79,7 @@ class Method:
         self.locals: Dict[str, Local] = {}
         self.param_names: List[str] = []
         self.body: List[Statement] = []
+        self._sig: Optional[MethodSig] = None
         if not is_static:
             self.locals["this"] = Local("this", class_name)
         for pname, ptype in params:
@@ -86,7 +87,14 @@ class Method:
 
     @property
     def sig(self) -> MethodSig:
-        return MethodSig(self.class_name, self.name, len(self.param_names))
+        # Built once: the solver and call graph look it up per call site.
+        # ``add_param`` is the only way the arity changes.
+        sig = self._sig
+        if sig is None:
+            sig = self._sig = MethodSig(
+                self.class_name, self.name, len(self.param_names)
+            )
+        return sig
 
     @property
     def is_instance(self) -> bool:
@@ -97,6 +105,7 @@ class Method:
             raise ValueError(f"duplicate local {name!r} in {self.sig}")
         self.locals[name] = Local(name, type_name)
         self.param_names.append(name)
+        self._sig = None
 
     def add_local(self, name: str, type_name: str) -> None:
         if name in self.locals:

@@ -44,25 +44,27 @@ def parse_menu_xml(name: str, text: str) -> MenuDef:
     if root.tag != "menu":
         raise LayoutXmlError(f"{name}: menu file must have a <menu> root")
     menu = MenuDef(name=name)
-
-    def walk(elem) -> None:
-        for child in elem:
-            if child.tag == "group":
-                walk(child)
-            elif child.tag == "item":
-                menu.items.append(
-                    MenuItemDef(
-                        id_name=_parse_id(_attr(child, "id"), name),
-                        title=_attr(child, "title"),
-                        on_click=_attr(child, "onClick"),
-                    )
-                )
-                # <item> may nest a sub-<menu>.
-                walk(child)
-            elif child.tag == "menu":
-                walk(child)
-            else:
-                raise LayoutXmlError(f"{name}: unexpected element <{child.tag}>")
-
-    walk(root)
+    _walk_menu(name, root, menu.items)
     return menu
+
+
+def _walk_menu(name: str, elem, items: List[MenuItemDef]) -> None:
+    """Append the ``<item>`` descendants of ``elem`` to ``items`` in
+    document order."""
+    for child in elem:
+        if child.tag == "group":
+            _walk_menu(name, child, items)
+        elif child.tag == "item":
+            items.append(
+                MenuItemDef(
+                    id_name=_parse_id(_attr(child, "id"), name),
+                    title=_attr(child, "title"),
+                    on_click=_attr(child, "onClick"),
+                )
+            )
+            # <item> may nest a sub-<menu>.
+            _walk_menu(name, child, items)
+        elif child.tag == "menu":
+            _walk_menu(name, child, items)
+        else:
+            raise LayoutXmlError(f"{name}: unexpected element <{child.tag}>")

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.collector import collector_paused
 from repro.core.analysis import AnalysisOptions
 from repro.obs import names as obs_names
 from repro.obs.tracer import Tracer
@@ -152,8 +153,11 @@ def _worker_main(
     obs_tracer.disable()  # never inherit the parent's ambient tracer
     try:
         maybe_inject_fault(target.name)
-        app = load_target(target)
-        payload = job(app, analysis, *job_args)
+        # The worker exits right after this one app, so nothing it
+        # allocates needs the cyclic collector.
+        with collector_paused():
+            app = load_target(target)
+            payload = job(app, analysis, *job_args)
         conn.send(("ok", payload))
     except BaseException as exc:  # isolate *everything*; the pipe is the report
         conn.send(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.app import AndroidApp
 from repro.core.nodes import Site
@@ -396,17 +396,19 @@ class Interpreter:
         if layout_name is None:
             return None
         tree = self.app.resources.layout(layout_name)
+        return self._instantiate(op_site, layout_name, tree.root, ())
 
-        def instantiate(node: LayoutNode, path) -> Obj:
-            obj = self.heap.allocate(
-                node.view_class, InflTag(op_site, layout_name, tuple(path))
+    def _instantiate(
+        self, op_site: Site, layout_name: str, node: LayoutNode, path: Tuple[int, ...]
+    ) -> Obj:
+        """Allocate the view for ``node`` and, in preorder, its subtree."""
+        obj = self.heap.allocate(node.view_class, InflTag(op_site, layout_name, path))
+        if node.id_name is not None:
+            obj.vid = self.app.resources.view_id(node.id_name)
+        if node.on_click is not None:
+            obj.fields["__xml_onclick"] = node.on_click
+        for child_index, child in enumerate(node.children):
+            obj.add_child(
+                self._instantiate(op_site, layout_name, child, path + (child_index,))
             )
-            if node.id_name is not None:
-                obj.vid = self.app.resources.view_id(node.id_name)
-            if node.on_click is not None:
-                obj.fields["__xml_onclick"] = node.on_click
-            for child_index, child in enumerate(node.children):
-                obj.add_child(instantiate(child, path + [child_index]))
-            return obj
-
-        return instantiate(tree.root, [])
+        return obj
