@@ -8,9 +8,10 @@ from repro.bench.figures import run_figure4
 from repro.core.analysis import AnalysisOptions
 from repro.corpus import APP_SPECS, generate_app
 from repro.corpus.connectbot import build_connectbot_example
-from repro.frontend import load_app_from_dir
+from repro.frontend import FrontendError, load_app_from_dir
 from repro.ir.printer import print_program
 from repro.lint import LintOptions, render_text, run_lint, to_sarif
+from repro.runner.tasks import fingerprint_hash
 
 HERE = os.path.dirname(__file__)
 EXAMPLES = os.path.join(HERE, os.pardir, "examples", "projects")
@@ -52,6 +53,33 @@ def build_lint_notepad_sarif() -> str:
     return json.dumps(to_sarif(report), indent=2, sort_keys=True) + "\n"
 
 
+def build_solver_fingerprints() -> str:
+    """Naive-mode solution hashes of the corpus apps and the examples.
+
+    The frozen reference for ``tests/test_solver_equivalence.py``: both
+    scheduling policies must reproduce every hash. Refuses to write
+    when the naive and semi-naive solutions disagree on any target.
+    Example projects that do not load (``broken``) are skipped.
+    """
+    targets = [(f"corpus/{spec.name}", generate_app(spec)) for spec in APP_SPECS]
+    for name in sorted(os.listdir(EXAMPLES)):
+        if not os.path.isdir(os.path.join(EXAMPLES, name)):
+            continue
+        try:
+            app = load_app_from_dir(os.path.join(EXAMPLES, name))
+        except FrontendError:
+            continue
+        targets.append((f"examples/{name}", app))
+    hashes = {}
+    for key, app in targets:
+        naive = fingerprint_hash(analyze(app, AnalysisOptions(solver="naive")))
+        semi = fingerprint_hash(analyze(app, AnalysisOptions(solver="seminaive")))
+        if naive != semi:
+            raise SystemExit(f"{key}: naive and seminaive solutions differ")
+        hashes[key] = naive
+    return json.dumps(hashes, indent=2, sort_keys=True) + "\n"
+
+
 def main() -> None:
     app = build_connectbot_example()
     result = analyze(app)
@@ -62,6 +90,7 @@ def main() -> None:
         "lint_corpus.txt": build_lint_corpus_text(),
         "lint_buggy.txt": build_lint_buggy_text(),
         "lint_notepad.sarif": build_lint_notepad_sarif(),
+        "solver_fingerprints.json": build_solver_fingerprints(),
     }
     for name, text in goldens.items():
         with open(os.path.join(HERE, "goldens", name), "w", encoding="utf-8") as f:
