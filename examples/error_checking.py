@@ -8,18 +8,18 @@ checker built on the reference analysis:
 * a duplicate view id making a lookup ambiguous;
 * a listener object that is never registered on any view.
 
-(The checkers are implemented by the lint engine in ``repro.lint`` —
-five registered rules GUI001-GUI005; this example exercises four of
-them through the legacy ``run_error_checks`` interface. For rule ids,
-severities, witness paths, and SARIF export, see ``docs/LINT.md`` and
-``examples/projects/buggy``, which plants one defect per rule.)
+(The checkers are the lint engine's rules in ``repro.lint`` — five
+registered rules GUI001-GUI005, looked up here by name; this example
+exercises four of them. For severities, witness paths, and SARIF
+export, see ``docs/LINT.md`` and ``examples/projects/buggy``, which
+plants one defect per rule.)
 
 Run:  python examples/error_checking.py
 """
 
 from repro import analyze
-from repro.clients import run_error_checks
 from repro.frontend import load_app_from_sources
+from repro.lint import LintOptions, run_lint
 
 SOURCE = """
 package buggy;
@@ -77,16 +77,16 @@ LAYOUT = """
 def main() -> None:
     app = load_app_from_sources("buggy", [SOURCE], {"screen": LAYOUT})
     result = analyze(app)
-    report = run_error_checks(result)
+    report = run_lint(result, LintOptions(witness=False))
 
     print(f"== {len(report)} finding(s) ==")
     for finding in report.findings:
-        print(" ", finding)
+        print(f"  [{finding.rule_id}] {finding.site}: {finding.message}")
 
-    assert report.by_check("unresolved-lookup"), "typo'd id not caught"
-    assert report.by_check("bad-cast"), "impossible cast not caught"
-    assert report.by_check("ambiguous-lookup"), "duplicate id not caught"
-    dead = report.by_check("dead-listener")
+    assert report.by_rule("unresolved-lookup"), "typo'd id not caught"
+    assert report.by_rule("bad-cast"), "impossible cast not caught"
+    assert report.by_rule("ambiguous-lookup"), "duplicate id not caught"
+    dead = report.by_rule("dead-listener")
     assert len(dead) == 1 and "DeadListener" in dead[0].message
     print("\nAll four planted bugs were caught.")
 

@@ -2,7 +2,8 @@
 
 Loads ``examples/projects/notepad`` (Java-subset sources, layout XML
 with ``<include>``/``<merge>`` and ``android:onClick``, a manifest),
-runs the reference analysis plus all four clients, and executes the
+runs the reference analysis plus the three clients and the lint
+checks, and executes the
 app in the concrete interpreter with a soundness check.
 
 Run:  python examples/project_demo.py
@@ -14,10 +15,10 @@ from repro import analyze
 from repro.clients import (
     build_gui_model,
     build_transition_graph,
-    run_error_checks,
     run_taint_analysis,
 )
 from repro.frontend import load_app_from_dir
+from repro.lint import LintOptions, run_lint
 from repro.semantics import check_soundness, run_app
 
 PROJECT = os.path.join(os.path.dirname(__file__), "projects", "notepad")
@@ -50,9 +51,9 @@ def main() -> None:
         print(" ", finding)
 
     print("\n== Error checks ==")
-    report = run_error_checks(result)
+    report = run_lint(result, LintOptions(witness=False))
     for finding in report.findings:
-        print(" ", finding)
+        print(f"  [{finding.rule_id}] {finding.site}: {finding.message}")
     print(f"  ({len(report)} finding(s))")
 
     print("\n== Concrete execution ==")

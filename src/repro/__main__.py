@@ -127,12 +127,13 @@ def _run_analyze(args: argparse.Namespace, tracer) -> int:
                 print(f"  {tr.source} -> {tr.target} "
                       f"({tr.trigger.event.value} on {tr.trigger.view})")
         if args.checks:
-            from repro.clients import run_error_checks
+            from repro.lint import LintOptions, rule_by_id, run_lint
 
-            report = run_error_checks(result)
+            report = run_lint(result, LintOptions(witness=False))
             print(f"\nChecks: {len(report)} finding(s)")
             for finding in report.findings:
-                print(f"  {finding}")
+                name = rule_by_id(finding.rule_id).name
+                print(f"  [{name}] {finding.site}: {finding.message}")
             if report.findings:
                 return 1
         if args.taint:

@@ -1,7 +1,8 @@
 """Client analyses built on the GUI reference analysis (Section 6).
 
 The paper positions its analysis as "a key component" for downstream
-tools; this package implements four representative clients:
+tools; this package implements three representative clients, and the
+lint engine a fourth:
 
 * :mod:`repro.clients.transitions` — the (activity, view, event,
   handler) tuples and the activity transition graph used by run-time
@@ -11,25 +12,21 @@ tools; this package implements four representative clients:
   export;
 * :mod:`repro.clients.taint` — a simple GUI-aware taint client:
   user-input views (EditText) flowing into sink calls via handlers;
-* :mod:`repro.clients.errorcheck` — static error checking: unresolved
-  find-view lookups, guaranteed/possible bad casts of find-view
-  results, ambiguous duplicate-id lookups, and dead listeners.
+* :mod:`repro.lint` — static error checking: unresolved find-view
+  lookups, bad casts of find-view results, ambiguous duplicate-id
+  lookups, and dead listeners.
 """
 
 from repro.clients.transitions import ActivityTransitionGraph, build_transition_graph
 from repro.clients.gui_model import GuiModel, WidgetInfo, build_gui_model
 from repro.clients.taint import TaintFinding, run_taint_analysis
-from repro.clients.errorcheck import CheckReport, Finding, run_error_checks
 
 __all__ = [
     "ActivityTransitionGraph",
-    "CheckReport",
-    "Finding",
     "GuiModel",
     "TaintFinding",
     "WidgetInfo",
     "build_gui_model",
     "build_transition_graph",
-    "run_error_checks",
     "run_taint_analysis",
 ]

@@ -1,14 +1,14 @@
 """Canonical fingerprints for comparing analysis solutions.
 
-The semi-naive scheduler must be *observationally identical* to the
-naive sweep: same ``flowsTo`` sets, same relationship edges, same
-XML-handler bindings, same precision metrics. The two modes do differ
-in artifacts a client can never observe:
+The semi-naive schedule must be *observationally identical* to the
+naive full sweep: same ``flowsTo`` sets, same relationship edges, same
+XML-handler bindings, same precision metrics. Solutions may still
+differ in artifacts a client can never observe:
 
-* **Empty points-to entries** — the naive drain materialises an empty
-  set for a node before computing the (empty) delta; the fast drain
-  skips the insertion. ``AnalysisResult.values_at`` returns ``set()``
-  either way, so fingerprints ignore empty entries.
+* **Empty points-to entries** — a node whose ``pts`` entry is an empty
+  set and a node with no entry are indistinguishable to clients
+  (``AnalysisResult.values_at`` returns ``set()`` either way), so
+  fingerprints ignore empty entries.
 * **List orderings** — ``xml_handlers`` and per-class menu items are
   appended in rule-evaluation order, which the scheduler changes.
   Clients consume them as sets (``gui_tuples`` deduplicates), so

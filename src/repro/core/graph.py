@@ -15,8 +15,8 @@ parent-child edge appears when a parent/child pair reaches an
 ``AddView2`` node); the graph exposes mutation methods returning
 whether anything changed so the solver can drive its worklist, and an
 optional ``rel_listener`` callback that fires once per *new*
-relationship edge so the semi-naive solver can schedule exactly the
-operation nodes whose inputs changed.
+relationship edge so the solver's delta scheduler can schedule
+exactly the operation nodes whose inputs changed.
 
 Two query structures exist specifically for the solver's hot path:
 
@@ -77,17 +77,14 @@ _EMPTY_NODE_SET: FrozenSet[Node] = frozenset()
 class ConstraintGraph:
     """Mutable constraint graph with node interning.
 
-    Flow edges are adjacency sets over :class:`Node`; relationship
+    Flow edges are adjacency lists over :class:`Node`; relationship
     edges are kept in per-label forward/backward maps for the queries
     the solver needs (children-of, ids-of, roots-of, ...).
     """
 
     def __init__(self) -> None:
         self.nodes: Set[Node] = set()
-        self.flow_succ: Dict[Node, List[Node]] = {}
-        self.flow_pred: Dict[Node, List[Node]] = {}
         self._flow_edge_set: Set[Tuple[Node, Node]] = set()
-        self._flow_filters: Dict[Tuple[Node, Node], str] = {}
         # Successors with the edge's cast filter attached, the solver's
         # propagation hot path (avoids a dict lookup per edge visit).
         self._flow_out: Dict[Node, List[Tuple[Node, Optional[str]]]] = {}
@@ -95,7 +92,7 @@ class ConstraintGraph:
         self._rel: Dict[RelKind, Dict[Node, Set[Node]]] = {k: {} for k in RelKind}
         self._rel_back: Dict[RelKind, Dict[Node, Set[Node]]] = {k: {} for k in RelKind}
         # Called once per *new* relationship edge (kind, src, dst);
-        # installed by the semi-naive solver for delta scheduling.
+        # installed by the solver for delta scheduling.
         self.rel_listener: Optional[Callable[[RelKind, Node, Node], None]] = None
         # Derivation recorder (``AnalysisOptions.provenance``). When
         # set, ``add_rel`` records the rule/premises passed by the
@@ -311,18 +308,10 @@ class ConstraintGraph:
         if key in self._flow_edge_set:
             return False
         self._flow_edge_set.add(key)
-        self.flow_succ.setdefault(src, []).append(dst)
-        self.flow_pred.setdefault(dst, []).append(src)
         self._flow_out.setdefault(src, []).append((dst, type_filter))
-        if type_filter is not None:
-            self._flow_filters[key] = type_filter
         self._register(src)
         self._register(dst)
         return True
-
-    def flow_filter(self, src: Node, dst: Node) -> Optional[str]:
-        """The type filter on edge ``src → dst``, if any."""
-        return self._flow_filters.get((src, dst))
 
     def flow_out(self, node: Node) -> Sequence[Tuple[Node, Optional[str]]]:
         """``(successor, cast filter)`` pairs for every edge out of
@@ -427,9 +416,9 @@ class ConstraintGraph:
         """Reflexive-transitive closure over CHILD edges (``ancestorOf``
         read backwards: returned set = all v with view ancestorOf v).
 
-        Walks the graph on every call — the reference implementation,
-        also used by the naive solver mode. Hot-path callers use
-        :meth:`descendants_cached` instead."""
+        Walks the graph on every call — the reference the descendant
+        cache is tested against, and the query of the results API.
+        Hot-path callers use :meth:`descendants_cached` instead."""
         seen: Set[Node] = set()
         work: List[Node] = [view]
         while work:

@@ -6,10 +6,10 @@ from repro import analyze
 from repro.clients import (
     build_gui_model,
     build_transition_graph,
-    run_error_checks,
     run_taint_analysis,
 )
 from repro.frontend import load_app_from_sources
+from repro.lint import LintOptions, run_lint
 from repro.platform.events import EventKind
 
 
@@ -157,7 +157,7 @@ class TestTaint:
 
 class TestErrorChecks:
     def test_clean_app_is_clean(self, shop_result):
-        report = run_error_checks(shop_result)
+        report = run_lint(shop_result, LintOptions(witness=False))
         assert len(report) == 0
 
     def test_unresolved_lookup(self):
@@ -174,8 +174,8 @@ class TestErrorChecks:
         """
         layout = '<LinearLayout><TextView android:id="@+id/real"/></LinearLayout>'
         result = analyze(load_app_from_sources("app", [source], {"f": layout}))
-        report = run_error_checks(result)
-        assert report.by_check("unresolved-lookup")
+        report = run_lint(result, LintOptions(witness=False))
+        assert report.by_rule("unresolved-lookup")
 
     def test_bad_cast(self):
         source = """
@@ -193,8 +193,8 @@ class TestErrorChecks:
         """
         layout = '<LinearLayout><ImageView android:id="@+id/pic"/></LinearLayout>'
         result = analyze(load_app_from_sources("app", [source], {"f": layout}))
-        report = run_error_checks(result)
-        assert report.by_check("bad-cast")
+        report = run_lint(result, LintOptions(witness=False))
+        assert report.by_rule("bad-cast")
 
     def test_dead_listener(self):
         source = """
@@ -213,6 +213,6 @@ class TestErrorChecks:
         """
         layout = "<LinearLayout/>"
         result = analyze(load_app_from_sources("app", [source], {"f": layout}))
-        report = run_error_checks(result)
-        dead = report.by_check("dead-listener")
+        report = run_lint(result, LintOptions(witness=False))
+        dead = report.by_rule("dead-listener")
         assert len(dead) == 1

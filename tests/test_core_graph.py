@@ -59,16 +59,18 @@ class TestFlowEdges:
         assert graph.flow_edge_count() == 1
 
     def test_flow_filter_stored(self, graph):
-        x, y = graph.var(SIG, "x"), graph.var(SIG, "y")
+        x, y, z = graph.var(SIG, "x"), graph.var(SIG, "y"), graph.var(SIG, "z")
         graph.add_flow(x, y, type_filter="android.view.View")
-        assert graph.flow_filter(x, y) == "android.view.View"
-        assert graph.flow_filter(y, x) is None
+        graph.add_flow(x, z)
+        assert list(graph.flow_out(x)) == [(y, "android.view.View"), (z, None)]
+        assert list(graph.flow_out(y)) == []
 
     def test_succ_pred_consistency(self, graph):
         x, y = graph.var(SIG, "x"), graph.var(SIG, "y")
         graph.add_flow(x, y)
-        assert y in graph.flow_succ[x]
-        assert x in graph.flow_pred[y]
+        assert [succ for succ, _ in graph.flow_out(x)] == [y]
+        assert graph.has_flow(x, y) and not graph.has_flow(y, x)
+        assert set(graph.flow_edges()) == {(x, y)}
 
 
 class TestRelEdges:

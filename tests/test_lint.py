@@ -342,20 +342,6 @@ class TestBaseline:
             diff_baseline(buggy_report, {"schema": "other/1"})
 
 
-class TestErrorcheckShim:
-    def test_legacy_interface_maps_rule_names(self, buggy_result):
-        from repro.clients.errorcheck import run_error_checks
-
-        legacy = run_error_checks(buggy_result)
-        lint = run_lint(buggy_result, LintOptions(witness=False))
-        assert len(legacy.findings) == len(lint.findings)
-        names = {r.name for r in ALL_RULES}
-        assert {f.check for f in legacy.findings} <= names
-        assert [f.message for f in legacy.findings] == [
-            f.message for f in lint.findings
-        ]
-
-
 class TestCLI:
     def test_buggy_exits_one_and_reports_all_rules(self, capsys):
         code = cli_main(["lint", BUGGY])

@@ -10,6 +10,7 @@ identical results with one), the `converged` bugfix, and the
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -21,9 +22,10 @@ from repro.obs import Tracer, names, snapshot, to_json
 import repro.obs as obs
 from repro.platform.api import OpKind
 
-NOTEPAD = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "examples", "projects", "notepad")
+EXAMPLES = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "examples", "projects")
 )
+NOTEPAD = os.path.join(EXAMPLES, "notepad")
 
 
 class FakeClock:
@@ -297,11 +299,46 @@ class TestSolverCounters:
             str(n): sorted(map(str, vs)) for n, vs in traced.pts.items()
         }
 
+    @pytest.mark.parametrize("example", ["notepad", "buggy"])
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"solver": "naive"},
+            {"solver": "seminaive"},
+            {"solver": "seminaive", "seminaive_cross_check": True},
+            {"solver": "seminaive", "provenance": True},
+        ],
+        ids=["naive", "seminaive", "cross-check", "provenance"],
+    )
+    def test_every_scheduled_evaluation_is_counted(self, example, options):
+        # The cross-check sweep evaluates every op at each claimed fixed
+        # point: it counts per rule like a round, but is not a round.
+        app = load_app_from_dir(os.path.join(EXAMPLES, example))
+        tracer = Tracer()
+        result = analyze(app, AnalysisOptions(**options), tracer=tracer)
+        c = tracer.counters
+        evaluated = sum(v for k, v in c.items() if k.startswith("rule.evaluated."))
+        assert evaluated == result.ops_scheduled == c[names.COUNTER_OPS_SCHEDULED]
+        plain = analyze(app, AnalysisOptions(solver=options["solver"]))
+        assert result.rounds == plain.rounds
+
 
 class TestConvergenceFlag:
     def test_converged_on_normal_run(self):
         result = analyze(_demo_app())
         assert result.converged is True
+
+    @pytest.mark.parametrize("solver", ["naive", "seminaive"])
+    def test_converges_without_xml_onclick_binding(self, solver):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = analyze(
+                load_app_from_dir(NOTEPAD),
+                AnalysisOptions(solver=solver, model_xml_onclick=False),
+            )
+        assert result.converged is True
+        assert result.rounds < 10
+        assert result.xml_handlers == []
 
     def test_max_rounds_exhaustion_is_loud(self):
         tracer = Tracer()

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import analyze
 from repro.app import AndroidApp
+from repro.core.graph import ConstraintGraph, RelKind
+from repro.core.nodes import Site
 from repro.corpus.generator import plan_multiplicities
 from repro.dex.descriptors import (
     descriptor_to_type,
@@ -20,6 +22,7 @@ from repro.dex.descriptors import (
     type_to_descriptor,
 )
 from repro.ir.builder import ProgramBuilder
+from repro.ir.program import MethodSig
 from repro.resources.layout import LayoutNode, LayoutTree
 from repro.resources.manifest import Manifest
 from repro.resources.rtable import ResourceTable
@@ -209,6 +212,62 @@ class TestGraphInvariants:
         value_types = (ActivityNode, AllocNode, InflViewNode, LayoutIdNode, ViewIdNode)
         for values in result.pts.values():
             assert all(isinstance(v, value_types) for v in values)
+
+
+_INDEX_VIEWS = 6
+_INDEX_IDS = 3
+# Edge insertions in random order (self-loops and cycles included),
+# interleaved with cache queries so that later insertions must extend
+# already-cached closures.
+_index_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("child"),
+            st.integers(0, _INDEX_VIEWS - 1),
+            st.integers(0, _INDEX_VIEWS - 1),
+        ),
+        st.tuples(
+            st.just("id"),
+            st.integers(0, _INDEX_VIEWS - 1),
+            st.integers(0, _INDEX_IDS - 1),
+        ),
+        st.tuples(st.just("query"), st.integers(0, _INDEX_VIEWS - 1), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+class TestSolverIndexProperty:
+    """The solver's incremental indexes agree with the brute-force graph
+    queries (``descendants_of``, ``rel``) under any insertion order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=_index_steps)
+    def test_indexes_match_reference_queries(self, steps):
+        graph = ConstraintGraph()
+        sig = MethodSig("app.C", "m", 0)
+        views = [
+            graph.alloc(Site(sig, i, i), VIEW, is_view=True)
+            for i in range(_INDEX_VIEWS)
+        ]
+        ids = [graph.view_id(f"id{k}", k) for k in range(_INDEX_IDS)]
+        for kind, a, b in steps:
+            if kind == "child":
+                graph.add_rel(RelKind.CHILD, views[a], views[b])
+            elif kind == "id":
+                graph.add_rel(RelKind.HAS_ID, views[a], ids[b])
+            else:
+                assert graph.descendants_cached(views[a]) == graph.descendants_of(
+                    views[a], include_self=True
+                )
+        for v in views:
+            assert graph.descendants_cached(v) == graph.descendants_of(
+                v, include_self=True
+            )
+        for id_node in ids:
+            assert set(graph.rel_back_view(RelKind.HAS_ID, id_node)) == {
+                v for v in views if id_node in graph.rel(RelKind.HAS_ID, v)
+            }
 
 
 class TestDexRoundTripProperty:
