@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.results import AnalysisResult, GuiTuple
-from repro.hierarchy.callgraph import build_call_graph
-from repro.ir.program import MethodSig
+from repro.hierarchy.callgraph import CallGraph, build_call_graph
+from repro.ir.program import MethodSig, Program
 from repro.ir.statements import New
 
 
@@ -66,11 +66,12 @@ class ActivityTransitionGraph:
 
 
 def _activities_started_by(
-    result: AnalysisResult, handler: MethodSig, activity_classes: Set[str]
+    program: Program,
+    call_graph: CallGraph,
+    handler: MethodSig,
+    activity_classes: Set[str],
 ) -> Set[str]:
     """Activity classes instantiated in code reachable from ``handler``."""
-    program = result.app.program
-    call_graph = build_call_graph(program, result.hierarchy)
     reachable = call_graph.reachable_from([handler])
     reachable.add(handler)
     started: Set[str] = set()
@@ -89,13 +90,15 @@ def build_transition_graph(result: AnalysisResult) -> ActivityTransitionGraph:
     activity_classes = set(result.app.activity_classes())
     graph = ActivityTransitionGraph(activities=sorted(activity_classes))
     graph.tuples = sorted(result.gui_tuples(), key=str)
+    program = result.app.program
+    call_graph = build_call_graph(program, result.hierarchy)
     # Cache reachability per handler: many tuples share handlers.
     started_cache: Dict[MethodSig, Set[str]] = {}
     for gui_tuple in graph.tuples:
         handler = gui_tuple.handler
         if handler not in started_cache:
             started_cache[handler] = _activities_started_by(
-                result, handler, activity_classes
+                program, call_graph, handler, activity_classes
             )
         for target in sorted(started_cache[handler]):
             graph.transitions.append(

@@ -10,12 +10,22 @@ Nodes split into two families:
   allocation sites of listener classes; activities and views may also
   act as listeners.)
 
-All node classes are frozen dataclasses so they are hashable and can be
-interned by the graph. Their hashes are cached per instance
-(:func:`_cached_hash`): nodes are immutable, nest recursively
-(``OpArg`` → ``OpNode`` → ``Site`` → ``MethodSig``), and the solver
-hashes them millions of times during set propagation — recomputing the
-recursive field-tuple hash on every lookup dominates solve time.
+Node identity. :class:`~repro.core.graph.ConstraintGraph` is the only
+constructor of the eleven graph-interned classes: every :class:`Node`
+below except the ports ``OpRecv`` and ``OpArg`` (a guard test scans
+the tree for any other call). The graph hands out exactly one object
+per key, so those classes are ``eq=False, slots=True`` frozen
+dataclasses: equality and hashing are CPython's built-in identity, with
+no Python frame per dict or set probe, and that coincides with value
+equality inside one graph. Two analyses never share node objects, so
+comparing results across runs goes through ``str(node)`` or
+:mod:`repro.core.diff` fingerprints.
+
+``Site``, ``OpRecv`` and ``OpArg`` keep value equality, because
+callers build them ad hoc as lookup keys (the solver rules,
+``AnalysisResult.op_receivers``, lint, the interpreter, tests). Their
+hashes are memoised per instance (:func:`_cached_hash`); once
+``OpNode`` hashes by identity, a port's hash is cheap too.
 """
 
 from __future__ import annotations
@@ -69,8 +79,7 @@ class Node:
     __slots__ = ()
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class VarNode(Node):
     """A local variable of a method (including ``this`` and parameters)."""
 
@@ -81,8 +90,7 @@ class VarNode(Node):
         return f"{self.method.class_name.rsplit('.', 1)[-1]}.{self.method.name}${self.name}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class FieldNode(Node):
     """An instance field, field-based: one node per field declaration."""
 
@@ -93,8 +101,7 @@ class FieldNode(Node):
         return f"{self.class_name.rsplit('.', 1)[-1]}.{self.field_name}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class StaticFieldNode(Node):
     """A static field."""
 
@@ -105,8 +112,7 @@ class StaticFieldNode(Node):
         return f"{self.class_name.rsplit('.', 1)[-1]}.{self.field_name}(static)"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class AllocNode(Node):
     """An allocation site ``x := new C``.
 
@@ -123,8 +129,7 @@ class AllocNode(Node):
         return f"{simple}_{self.site.line if self.site.line is not None else self.site.index}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class ActivityNode(Node):
     """The platform-created instance(s) of an activity class."""
 
@@ -134,8 +139,7 @@ class ActivityNode(Node):
         return self.class_name.rsplit(".", 1)[-1]
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class LayoutIdNode(Node):
     """An ``R.layout`` constant."""
 
@@ -146,8 +150,7 @@ class LayoutIdNode(Node):
         return f"R.layout.{self.name}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class ViewIdNode(Node):
     """An ``R.id`` constant."""
 
@@ -158,8 +161,7 @@ class ViewIdNode(Node):
         return f"R.id.{self.name}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class MenuIdNode(Node):
     """An ``R.menu`` constant (menu extension)."""
 
@@ -170,8 +172,7 @@ class MenuIdNode(Node):
         return f"R.menu.{self.name}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class MenuItemNode(Node):
     """A menu item created by inflating a menu at one site (extension).
 
@@ -189,8 +190,7 @@ class MenuItemNode(Node):
         return f"MenuItem_{where}.{suffix}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class OpNode(Node):
     """An operation node for one classified call site.
 
@@ -229,8 +229,7 @@ class OpArg(Node):
         return f"{self.op}.arg{self.index}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class InflViewNode(Node):
     """A view created by inflating one layout node at one inflation site.
 

@@ -33,12 +33,15 @@ class CallGraph:
     def __init__(self) -> None:
         self._edges: Dict[CallSite, List[MethodSig]] = {}
         self._callers: Dict[MethodSig, Set[CallSite]] = {}
+        # Caller method -> targets of all its sites, for reachability.
+        self._callees: Dict[MethodSig, List[MethodSig]] = {}
 
     def add_edge(self, site: CallSite, target: MethodSig) -> None:
         targets = self._edges.setdefault(site, [])
         if target not in targets:
             targets.append(target)
             self._callers.setdefault(target, set()).add(site)
+            self._callees.setdefault(site.caller, []).append(target)
 
     def targets(self, site: CallSite) -> List[MethodSig]:
         return list(self._edges.get(site, ()))
@@ -54,9 +57,6 @@ class CallGraph:
 
     def reachable_from(self, roots: List[MethodSig]) -> Set[MethodSig]:
         """Methods transitively callable from ``roots``."""
-        by_caller: Dict[MethodSig, List[MethodSig]] = {}
-        for site, targets in self._edges.items():
-            by_caller.setdefault(site.caller, []).extend(targets)
         seen: Set[MethodSig] = set()
         work = list(roots)
         while work:
@@ -64,7 +64,7 @@ class CallGraph:
             if m in seen:
                 continue
             seen.add(m)
-            work.extend(by_caller.get(m, ()))
+            work.extend(self._callees.get(m, ()))
         return seen
 
 

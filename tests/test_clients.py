@@ -3,12 +3,16 @@
 import pytest
 
 from repro import analyze
+from repro.bench.solverbench import scaled_spec
 from repro.clients import (
     build_gui_model,
     build_transition_graph,
     run_taint_analysis,
+    transitions,
 )
+from repro.corpus.generator import generate_app
 from repro.frontend import load_app_from_sources
+from repro.hierarchy.callgraph import build_call_graph
 from repro.lint import LintOptions, run_lint
 from repro.platform.events import EventKind
 
@@ -66,6 +70,20 @@ class TestTransitionGraph:
         dot = build_transition_graph(shop_result).to_dot()
         assert '"Home" -> "Detail"' in dot
         assert "click" in dot
+
+    def test_call_graph_built_once(self, monkeypatch):
+        # scale8 has 10 distinct handlers; they share one CHA call graph.
+        result = analyze(generate_app(scaled_spec(8)))
+        calls = []
+
+        def counting_build(program, hierarchy=None):
+            calls.append(program)
+            return build_call_graph(program, hierarchy)
+
+        monkeypatch.setattr(transitions, "build_call_graph", counting_build)
+        graph = build_transition_graph(result)
+        assert len({t.handler for t in graph.tuples}) == 10
+        assert len(calls) == 1
 
 
 class TestGuiModel:

@@ -1,9 +1,13 @@
 """Unit tests for the constraint graph data structure."""
 
+import ast
+import os
+
 import pytest
 
+from repro.core import nodes
 from repro.core.graph import ConstraintGraph, RelKind
-from repro.core.nodes import Site
+from repro.core.nodes import OpArg, OpRecv, Site
 from repro.ir.program import MethodSig
 from repro.platform.api import OpKind, OpSpec
 
@@ -49,6 +53,80 @@ class TestInterning:
         b = graph.infl_view(site, "main", (), "android.view.View", None)
         c = graph.infl_view(site, "main", (0,), "android.view.View", None)
         assert a is b and a is not c
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GRAPH_MODULE = os.path.join(REPO, "src", "repro", "core", "graph.py")
+# The node classes only ConstraintGraph constructs; they compare by identity.
+INTERNED = {
+    "VarNode",
+    "FieldNode",
+    "StaticFieldNode",
+    "AllocNode",
+    "ActivityNode",
+    "LayoutIdNode",
+    "ViewIdNode",
+    "MenuIdNode",
+    "MenuItemNode",
+    "OpNode",
+    "InflViewNode",
+}
+
+
+def _interned_constructor_calls(path):
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), filename=path)
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in INTERNED:
+            yield f"{os.path.relpath(path, REPO)}:{call.lineno}: {name}(...)"
+
+
+class TestNodeIdentity:
+    def test_only_the_graph_constructs_interned_nodes(self):
+        # A value-built VarNode(...) used as a key would silently miss,
+        # because interned nodes hash by identity.
+        offenders = []
+        for top in ("src", "tests", "examples", "benchmarks", "perfbench"):
+            for dirpath, dirnames, filenames in os.walk(os.path.join(REPO, top)):
+                dirnames.sort()
+                for filename in sorted(filenames):
+                    path = os.path.join(dirpath, filename)
+                    if filename.endswith(".py") and path != GRAPH_MODULE:
+                        offenders.extend(_interned_constructor_calls(path))
+        assert offenders == []
+
+    def test_exactly_the_interned_classes_use_identity(self):
+        identity = {
+            name
+            for name, cls in vars(nodes).items()
+            if isinstance(cls, type)
+            and issubclass(cls, nodes.Node)
+            and cls is not nodes.Node
+            and cls.__eq__ is object.__eq__
+            and cls.__hash__ is object.__hash__
+            and "__dict__" not in dir(cls)
+        }
+        assert identity == INTERNED
+
+    def test_graphs_never_share_nodes(self, graph):
+        # One object per key within a graph (TestInterning); across
+        # graphs, nodes compare by str.
+        other = ConstraintGraph().var(SIG, "x")
+        assert other != graph.var(SIG, "x")
+        assert str(other) == str(graph.var(SIG, "x"))
+
+    def test_ports_compare_by_value(self, graph):
+        op = graph.op(OpKind.SETID, Site(SIG, 3, 12), OpSpec(OpKind.SETID, arg_index=0))
+        assert OpRecv(op) is not OpRecv(op)
+        assert OpRecv(op) == OpRecv(op)
+        assert hash(OpRecv(op)) == hash(OpRecv(op))
+        assert OpArg(op, 0) == OpArg(op, 0) and hash(OpArg(op, 0)) == hash(OpArg(op, 0))
+        assert OpArg(op, 0) != OpArg(op, 1)
+        assert graph.op_recv(op) in {OpRecv(op)}
 
 
 class TestFlowEdges:

@@ -17,6 +17,11 @@ from repro.dex.descriptors import join_method_descriptor, split_method_descripto
 from repro.ir.statements import Cast, ConstNull, Invoke, InvokeKind
 
 
+def _method_with(instruction: str) -> str:
+    """A one-class program whose line 3 is ``instruction``."""
+    return f".class Lp/A;\n.method m()V\n    {instruction}\n.end method\n.end class"
+
+
 class TestDescriptors:
     @pytest.mark.parametrize(
         "type_name,descriptor",
@@ -164,6 +169,21 @@ class TestParser:
             (".class Lp/A;\n.method m()V\n"
              "    invoke-virtual {this, a}, Lp/A;->m()V\n"
              ".end method\n.end class", "argument count"),
+            # Malformed operands name the source line, never a bare ValueError.
+            (_method_with("move v0"), "line 3: malformed 'move v0'"),
+            (_method_with("move v0, v1, v2"), "line 3: malformed 'move v0, v1, v2'"),
+            (_method_with("iget v0, v1"), "line 3: malformed 'iget v0, v1'"),
+            (_method_with("check-cast v0"), "line 3: malformed 'check-cast v0'"),
+            (_method_with("if-nez v0"), "line 3: malformed 'if-nez v0'"),
+            (_method_with("sget v0"), "line 3: malformed 'sget v0'"),
+            (_method_with("const/4 v0, xyz"), "line 3: malformed 'const/4 v0, xyz'"),
+            (_method_with("new-instance v0, Bad"), "line 3: .*type descriptor 'Bad'"),
+            (".class Bad\n.end class", "line 1: malformed type descriptor 'Bad'"),
+            (_method_with("invoke-static {}, Lp/A;->m(Q)V"),
+             "line 3: .*parameter descriptor at 'Q'"),
+            (".class Lp/A;\n.method m()V\n.end method\n.method m()V\n.end method\n"
+             ".end class", "line 4: duplicate method m/0"),
+            (".class Lp/A;\n.end class\n.class Lp/A;\n.end class", "line 3: duplicate class"),
         ],
     )
     def test_errors(self, text, message):
