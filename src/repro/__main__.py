@@ -27,17 +27,42 @@ see ``examples/projects/notepad``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
 from repro.collector import collector_paused
 
 
-def _load(path: str):
-    from repro.frontend import load_app_from_dir
+def _load(project: str, tracer=None):
+    """The validated app, or None once malformed input is reported.
 
-    app = load_app_from_dir(path)
-    app.validate()
+    Malformed Dalvik text, ``.alite`` source, layout XML or IR prints
+    one ``repro: error: <path>:<line>: <message>`` line to stderr; the
+    caller exits 2. ``tracer`` receives the loader's ``load`` spans.
+    """
+    from repro.dex import DexSyntaxError
+    from repro.frontend import FrontendError, load_app_from_dir
+    from repro.ir.validate import IRValidationError
+    from repro.resources.xml_parser import LayoutXmlError
+
+    try:
+        app = load_app_from_dir(project, tracer=tracer)
+        app.validate()
+    except (DexSyntaxError, FrontendError, LayoutXmlError, IRValidationError) as exc:
+        path = getattr(exc, "path", None)
+        where = project if path is None else os.path.join(project, path)
+        if isinstance(exc, DexSyntaxError):
+            where, message = f"{where}:{exc.line_no}", exc.message
+        elif isinstance(exc, FrontendError):
+            where = f"{where}:{exc.line}" if exc.line else where
+            message = exc.message
+        elif isinstance(exc, IRValidationError):
+            message = "; ".join(exc.errors)
+        else:
+            message = str(exc)
+        print(f"repro: error: {where}: {message}", file=sys.stderr)
+        return None
     return app
 
 
@@ -77,8 +102,9 @@ def _run_analyze(args: argparse.Namespace, tracer) -> int:
             return contextlib.nullcontext()
         return tracer.span(name)
 
-    with phase("load"):
-        app = _load(args.project)
+    app = _load(args.project, tracer)
+    if app is None:
+        return 2
     options = AnalysisOptions(solver=args.solver)
     if args.max_rounds is not None:
         options.max_rounds = args.max_rounds
@@ -168,7 +194,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
         tracer = Tracer()
 
-    app = _load(args.project)
+    app = _load(args.project, tracer)
+    if app is None:
+        return 2
     # Witness paths need derivation provenance from the solver.
     options = AnalysisOptions(solver=args.solver, provenance=not args.no_witness)
     result = analyze(app, options, tracer=tracer)
@@ -299,6 +327,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.semantics import check_soundness, run_app
 
     app = _load(args.project)
+    if app is None:
+        return 2
     run = run_app(app, seed=args.seed)
     print(f"activities driven: {len(run.activities)}")
     print(f"objects allocated: {len(run.heap.objects)}")
@@ -320,6 +350,8 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
     from repro.dex import assemble_program
 
     app = _load(args.project)
+    if app is None:
+        return 2
     text = assemble_program(app.program)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:

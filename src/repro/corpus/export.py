@@ -18,7 +18,9 @@ import os
 from typing import Optional
 
 from repro.app import AndroidApp
-from repro.dex import assemble_program, parse_dex_text
+from repro.dex import DexSyntaxError, assemble_program, parse_dex_text
+from repro.obs import names as obs_names
+from repro.obs.tracer import Tracer, null_span
 from repro.resources.manifest import parse_manifest_xml
 from repro.resources.menu import parse_menu_xml
 from repro.resources.rtable import ResourceTable
@@ -63,37 +65,55 @@ def dump_app(app: AndroidApp, path: str) -> None:
         f.write(manifest_to_xml(app.manifest))
 
 
-def load_dumped_app(path: str, name: Optional[str] = None) -> AndroidApp:
-    """Load a project directory written by :func:`dump_app`."""
+def load_dumped_app(
+    path: str, name: Optional[str] = None, tracer: Optional[Tracer] = None
+) -> AndroidApp:
+    """Load a project directory written by :func:`dump_app`.
+
+    ``tracer``, when given, records a ``load.dex`` span around Dalvik
+    text decoding and a ``load.xml`` span around reading and parsing
+    the XML resources. A :class:`~repro.dex.DexSyntaxError` carries
+    ``path = "classes.smali"``.
+    """
+    span = tracer.span if tracer is not None else null_span
     if name is None:
         name = os.path.basename(os.path.abspath(path))
     with open(os.path.join(path, "classes.smali"), encoding="utf-8") as f:
-        program = parse_dex_text(f.read())
+        text = f.read()
+    try:
+        # Called through this module's global: the benchmark's traced
+        # run times the Dalvik layer by wrapping it here.
+        with span(obs_names.SPAN_LOAD_DEX):
+            program = parse_dex_text(text)
+    except DexSyntaxError as exc:
+        exc.path = "classes.smali"
+        raise
     resources = ResourceTable()
-    layout_root = os.path.join(path, "res", "layout")
-    if os.path.isdir(layout_root):
-        for filename in sorted(os.listdir(layout_root)):
-            if filename.endswith(".xml"):
-                with open(os.path.join(layout_root, filename), encoding="utf-8") as f:
-                    resources.add_layout(
-                        parse_layout_xml(os.path.splitext(filename)[0], f.read())
-                    )
-    menu_root = os.path.join(path, "res", "menu")
-    if os.path.isdir(menu_root):
-        for filename in sorted(os.listdir(menu_root)):
-            if filename.endswith(".xml"):
-                with open(os.path.join(menu_root, filename), encoding="utf-8") as f:
-                    resources.add_menu(
-                        parse_menu_xml(os.path.splitext(filename)[0], f.read())
-                    )
-    ids_path = os.path.join(path, "res", "values", "ids.xml")
-    if os.path.isfile(ids_path):
-        import xml.etree.ElementTree as ET
+    with span(obs_names.SPAN_LOAD_XML):
+        layout_root = os.path.join(path, "res", "layout")
+        if os.path.isdir(layout_root):
+            for filename in sorted(os.listdir(layout_root)):
+                if filename.endswith(".xml"):
+                    with open(os.path.join(layout_root, filename), encoding="utf-8") as f:
+                        resources.add_layout(
+                            parse_layout_xml(os.path.splitext(filename)[0], f.read())
+                        )
+        menu_root = os.path.join(path, "res", "menu")
+        if os.path.isdir(menu_root):
+            for filename in sorted(os.listdir(menu_root)):
+                if filename.endswith(".xml"):
+                    with open(os.path.join(menu_root, filename), encoding="utf-8") as f:
+                        resources.add_menu(
+                            parse_menu_xml(os.path.splitext(filename)[0], f.read())
+                        )
+        ids_path = os.path.join(path, "res", "values", "ids.xml")
+        if os.path.isfile(ids_path):
+            import xml.etree.ElementTree as ET
 
-        for item in ET.parse(ids_path).getroot():
-            if item.tag == "item" and item.get("type") == "id":
-                resources.view_id(item.get("name"))
+            for item in ET.parse(ids_path).getroot():
+                if item.tag == "item" and item.get("type") == "id":
+                    resources.view_id(item.get("name"))
+        with open(os.path.join(path, "AndroidManifest.xml"), encoding="utf-8") as f:
+            manifest = parse_manifest_xml(f.read())
     resources.freeze_ids()
-    with open(os.path.join(path, "AndroidManifest.xml"), encoding="utf-8") as f:
-        manifest = parse_manifest_xml(f.read())
     return AndroidApp(name=name, program=program, resources=resources, manifest=manifest)

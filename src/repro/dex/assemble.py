@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.dex.descriptors import join_method_descriptor, type_to_descriptor
+from repro.dex.descriptors import (
+    escape_string,
+    join_method_descriptor,
+    type_to_descriptor,
+)
 from repro.ir.program import Clazz, Method, Program
 from repro.ir.statements import (
     Assign,
@@ -123,8 +127,7 @@ def _assemble_stmt(program: Program, clazz: Clazz, method: Method, stmt) -> List
     if isinstance(stmt, ConstInt):
         return [f"    const/16 {stmt.lhs}, {stmt.value}{sfx}"]
     if isinstance(stmt, ConstString):
-        escaped = stmt.value.replace("\\", "\\\\").replace('"', '\\"')
-        return [f'    const-string {stmt.lhs}, "{escaped}"{sfx}']
+        return [f'    const-string {stmt.lhs}, "{escape_string(stmt.value)}"{sfx}']
     if isinstance(stmt, ConstNull):
         return [f"    const/4 {stmt.lhs}, 0{sfx}"]
     if isinstance(stmt, Invoke):

@@ -1,11 +1,14 @@
-"""Dalvik type descriptors.
+"""Dalvik type descriptors and string literals.
 
 ``Ljava/lang/String;`` ↔ ``java.lang.String``; primitives use their
 single-letter codes. Nested classes keep their ``$`` (smali does too).
+String literals escape ``\\``, ``"`` and every line break, so a
+``const-string`` always fits on one line of Dalvik text.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Dict
 
 _PRIMITIVE_TO_CODE: Dict[str, str] = {
@@ -65,4 +68,32 @@ def join_method_descriptor(param_types, return_type: str) -> str:
     """Inverse of :func:`split_method_descriptor`."""
     return "(" + "".join(type_to_descriptor(t) for t in param_types) + ")" + (
         type_to_descriptor(return_type)
+    )
+
+
+# Every character str.splitlines() breaks on, plus the two the literal
+# syntax needs. Escaping is one pass, so it has a one-pass inverse.
+_STRING_ESCAPES: Dict[str, str] = {
+    "\\": "\\\\",
+    '"': '\\"',
+    "\n": "\\n",
+    "\r": "\\r",
+    **{ch: f"\\u{ord(ch):04x}" for ch in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"},
+}
+_STRING_UNESCAPES = {v[1:]: k for k, v in _STRING_ESCAPES.items()}
+_ESCAPE_TABLE = str.maketrans(_STRING_ESCAPES)
+_ESCAPE_RE = re.compile(r"\\(u[0-9a-f]{4}|.)", re.DOTALL)
+
+
+def escape_string(value: str) -> str:
+    """Body of the ``const-string`` literal for ``value`` (no quotes)."""
+    return value.translate(_ESCAPE_TABLE)
+
+
+def unescape_string(body: str) -> str:
+    """Inverse of :func:`escape_string`; unknown escapes stay as written."""
+    if "\\" not in body:
+        return body
+    return _ESCAPE_RE.sub(
+        lambda m: _STRING_UNESCAPES.get(m.group(1), m.group(0)), body
     )

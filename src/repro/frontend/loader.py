@@ -18,6 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.app import AndroidApp, SourceFile
 from repro.frontend.lowering import compile_sources
 from repro.hierarchy.cha import ClassHierarchy
+from repro.obs import names as obs_names
+from repro.obs.tracer import Tracer, null_span
+from repro.obs.tracer import active as active_tracer
 from repro.resources.manifest import Manifest, parse_manifest_xml
 from repro.resources.menu import parse_menu_xml
 from repro.resources.rtable import ResourceTable
@@ -31,6 +34,7 @@ def load_app_from_sources(
     manifest_xml: Optional[str] = None,
     menus: Optional[Dict[str, str]] = None,
     source_paths: Optional[Sequence[str]] = None,
+    tracer: Optional[Tracer] = None,
 ) -> AndroidApp:
     """Build an app from in-memory source and layout texts.
 
@@ -38,8 +42,12 @@ def load_app_from_sources(
     menu resources). When no manifest is given, every activity subclass
     is declared, first one as launcher. ``source_paths``, when given,
     names each source text (project-relative) for source-level clients
-    like lint suppressions; otherwise synthetic names are used.
+    like lint suppressions and for the ``path`` of a
+    :class:`~repro.frontend.errors.FrontendError`; otherwise synthetic
+    names are used. ``tracer``, when given, records ``load.alite`` and
+    ``load.xml`` spans.
     """
+    span = tracer.span if tracer is not None else null_span
     if source_paths is None:
         source_paths = [f"<memory:{i}>" for i in range(len(sources))]
     elif len(source_paths) != len(sources):
@@ -49,20 +57,21 @@ def load_app_from_sources(
             f"source_paths has {len(source_paths)} entries for "
             f"{len(sources)} sources; lengths must match"
         )
-    program = compile_sources(list(sources))
+    with span(obs_names.SPAN_LOAD_ALITE):
+        program = compile_sources(list(sources), source_paths)
     source_files = [
         SourceFile(path=p, text=t) for p, t in zip(source_paths, sources)
     ]
     resources = ResourceTable()
-    for layout_name, xml in (layouts or {}).items():
-        resources.add_layout(parse_layout_xml(layout_name, xml))
-    for menu_name, xml in (menus or {}).items():
-        resources.add_menu(parse_menu_xml(menu_name, xml))
+    with span(obs_names.SPAN_LOAD_XML):
+        for layout_name, xml in (layouts or {}).items():
+            resources.add_layout(parse_layout_xml(layout_name, xml))
+        for menu_name, xml in (menus or {}).items():
+            resources.add_menu(parse_menu_xml(menu_name, xml))
+        manifest = parse_manifest_xml(manifest_xml) if manifest_xml is not None else None
     resources.freeze_ids()
 
-    if manifest_xml is not None:
-        manifest = parse_manifest_xml(manifest_xml)
-    else:
+    if manifest is None:
         manifest = Manifest(package=name)
         hierarchy = ClassHierarchy(program)
         for clazz in program.application_classes():
@@ -77,8 +86,26 @@ def load_app_from_sources(
     )
 
 
-def load_app_from_dir(path: str, name: Optional[str] = None) -> AndroidApp:
-    """Load a trimmed Android project directory into an app."""
+def load_app_from_dir(
+    path: str, name: Optional[str] = None, tracer: Optional[Tracer] = None
+) -> AndroidApp:
+    """Load a trimmed Android project directory into an app.
+
+    With a tracer (explicit or ambient via :func:`repro.obs.enable`)
+    the load runs in a ``load`` span whose ``load.alite``, ``load.dex``
+    and ``load.xml`` children time compilation, Dalvik text decoding
+    and XML parsing. Without one, tracing costs a branch or two per
+    call and nothing per file or line.
+    """
+    if tracer is None:
+        tracer = active_tracer()
+    if tracer is None:
+        return _load_dir(path, name, None)
+    with tracer.span(obs_names.PHASE_LOAD):
+        return _load_dir(path, name, tracer)
+
+
+def _load_dir(path: str, name: Optional[str], tracer: Optional[Tracer]) -> AndroidApp:
     if name is None:
         name = os.path.basename(os.path.abspath(path))
     sources: List[str] = []
@@ -104,7 +131,7 @@ def load_app_from_dir(path: str, name: Optional[str] = None) -> AndroidApp:
     if not sources and os.path.isfile(smali_path):
         from repro.corpus.export import load_dumped_app
 
-        return load_dumped_app(path, name=name)
+        return load_dumped_app(path, name=name, tracer=tracer)
     layouts: Dict[str, str] = {}
     layout_root = os.path.join(path, "res", "layout")
     if os.path.isdir(layout_root):
@@ -127,5 +154,11 @@ def load_app_from_dir(path: str, name: Optional[str] = None) -> AndroidApp:
         with open(manifest_path, encoding="utf-8") as f:
             manifest_xml = f.read()
     return load_app_from_sources(
-        name, sources, layouts, manifest_xml, menus=menus, source_paths=source_paths
+        name,
+        sources,
+        layouts,
+        manifest_xml,
+        menus=menus,
+        source_paths=source_paths,
+        tracer=tracer,
     )

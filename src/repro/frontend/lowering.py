@@ -47,7 +47,7 @@ from repro.frontend.ast_nodes import (
     UnaryExpr,
     WhileStmt,
 )
-from repro.frontend.errors import LowerError
+from repro.frontend.errors import FrontendError, LowerError
 from repro.frontend.parser import parse_compilation_unit
 from repro.ir.builder import MethodBuilder
 from repro.ir.program import Clazz, Field, Method, Program
@@ -521,11 +521,13 @@ class _Compiler:
         self.program = Program()
         install_platform(self.program)
         self.resolver = _Resolver(set(self.program.classes))
+        self.unit: Optional[CompilationUnit] = None  # being compiled, for errors
 
     def compile(self) -> Program:
         # Pass 1a: register every class name.
         decls: List[Tuple[CompilationUnit, ClassDecl, str]] = []
         for unit in self.units:
+            self.unit = unit
             for decl in unit.classes:
                 qualified = (
                     f"{unit.package}.{decl.name}" if unit.package else decl.name
@@ -537,6 +539,7 @@ class _Compiler:
         # Pass 1b: create classes with resolved supertypes and members.
         lowering_queue: List[Tuple[CompilationUnit, ClassDecl, Clazz]] = []
         for unit, decl, qualified in decls:
+            self.unit = unit
             superclass = "java.lang.Object"
             if decl.superclass is not None:
                 superclass = self.resolver.resolve(decl.superclass, unit, decl.line)
@@ -580,6 +583,7 @@ class _Compiler:
             lowering_queue.append((unit, decl, clazz))
         # Pass 2: lower bodies.
         for unit, decl, clazz in lowering_queue:
+            self.unit = unit
             for m in decl.methods:
                 if m.body is None:
                     continue
@@ -590,7 +594,26 @@ class _Compiler:
         return self.program
 
 
-def compile_sources(sources: Sequence[str]) -> Program:
-    """Compile ``.alite`` source texts into one ALite program."""
-    units = [parse_compilation_unit(source) for source in sources]
-    return _Compiler(units).compile()
+def compile_sources(
+    sources: Sequence[str], paths: Optional[Sequence[str]] = None
+) -> Program:
+    """Compile ``.alite`` source texts into one ALite program.
+
+    ``paths``, when given, names each source: a :class:`FrontendError`
+    raised while parsing or lowering one carries its name as ``path``.
+    """
+    units: List[CompilationUnit] = []
+    compiler: Optional[_Compiler] = None
+    try:
+        for source in sources:
+            units.append(parse_compilation_unit(source))
+        compiler = _Compiler(units)
+        return compiler.compile()
+    except FrontendError as exc:
+        if paths is not None:
+            if compiler is None:  # parsing the next source failed
+                index = len(units)
+            else:
+                index = next(i for i, u in enumerate(units) if u is compiler.unit)
+            exc.path = paths[index]
+        raise

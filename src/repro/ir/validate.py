@@ -76,25 +76,29 @@ def _method_visible(
     return False
 
 
+def _at(method: Method, idx: int) -> str:
+    """Where statement ``idx`` of ``method`` sits, for an error message."""
+    return f"{method.sig}[{idx}]"
+
+
 def _validate_method(program: Program, method: Method, errors: List[str]) -> None:
-    where = str(method.sig)
     labels = {s.name for s in method.body if isinstance(s, Label)}
+    # Messages name the statement as ``<sig>[<idx>]``, built only on error.
     for idx, stmt in enumerate(method.body):
-        ctx = f"{where}[{idx}]"
         for var in stmt.defs() + stmt.uses():
             if var not in method.locals:
-                errors.append(f"{ctx}: undeclared local {var!r}")
+                errors.append(f"{_at(method, idx)}: undeclared local {var!r}")
         if isinstance(stmt, Goto) and stmt.target not in labels:
-            errors.append(f"{ctx}: goto to unknown label {stmt.target!r}")
+            errors.append(f"{_at(method, idx)}: goto to unknown label {stmt.target!r}")
         if isinstance(stmt, If) and stmt.target not in labels:
-            errors.append(f"{ctx}: branch to unknown label {stmt.target!r}")
+            errors.append(f"{_at(method, idx)}: branch to unknown label {stmt.target!r}")
         if isinstance(stmt, (Load, Store)):
             base_local = method.locals.get(stmt.base)
             if base_local is not None and not _field_visible(
                 program, base_local.type_name, stmt.field_name
             ):
                 errors.append(
-                    f"{ctx}: field {stmt.field_name!r} not found on "
+                    f"{_at(method, idx)}: field {stmt.field_name!r} not found on "
                     f"{base_local.type_name} or its ancestors"
                 )
         if isinstance(stmt, Invoke):
@@ -106,7 +110,7 @@ def _validate_method(program: Program, method: Method, errors: List[str]) -> Non
                 # and virtual dispatch may resolve upward in the hierarchy).
                 if not _method_visible(program, stmt.class_name, stmt.method_name, len(stmt.args)):
                     errors.append(
-                        f"{ctx}: call target {stmt.class_name}.{stmt.method_name}"
+                        f"{_at(method, idx)}: call target {stmt.class_name}.{stmt.method_name}"
                         f"/{len(stmt.args)} not found"
                     )
 

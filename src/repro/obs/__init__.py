@@ -6,7 +6,8 @@ breakdowns. The pieces:
 
 * :mod:`repro.obs.tracer` — the :class:`Tracer` (``span()`` /
   ``counter()`` / ``event()``) and the module-level enabled flag
-  (``enable()`` / ``disable()`` / ``active()``, off by default);
+  (``enable()`` / ``disable()`` / ``active()``, off by default) and
+  ``null_span``, the no-op stand-in for ``span()``;
 * :mod:`repro.obs.names` — the canonical span/counter/event names,
   including the per-inference-rule counters keyed by ``OpKind``;
 * :mod:`repro.obs.export` — the ``repro.obs/1`` JSON exporter.
@@ -26,6 +27,7 @@ from repro.obs.tracer import (
     disable,
     enable,
     enabled,
+    null_span,
 )
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "enable",
     "enabled",
     "names",
+    "null_span",
     "snapshot",
     "to_json",
 ]

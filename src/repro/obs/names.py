@@ -16,6 +16,11 @@ from repro.platform.api import OpKind
 # -- phase spans (top level, one per analysis stage) -------------------------
 
 PHASE_LOAD = "load"  # frontend: project directory -> AndroidApp
+# Children of ``load`` (opened by ``load_app_from_dir``): Dalvik text
+# decoding, ``.alite`` compilation, and layout/menu/manifest XML.
+SPAN_LOAD_DEX = "load.dex"
+SPAN_LOAD_ALITE = "load.alite"
+SPAN_LOAD_XML = "load.xml"
 PHASE_BUILD = "build"  # constraint-graph construction (builder.py)
 PHASE_SOLVE = "solve"  # the fixed-point solver (analysis.py)
 PHASE_CLIENTS = "clients"  # Section 6 clients (tuples/transitions/checks/taint)

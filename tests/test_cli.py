@@ -83,3 +83,59 @@ class TestRunAndDisasm:
         with open(target) as f:
             program = parse_dex_text(f.read())
         assert program.clazz("com.example.notepad.NotesListActivity") is not None
+
+
+BROKEN = os.path.join(os.path.dirname(PROJECT), "broken")
+COMMANDS = ("analyze", "lint", "run", "disasm")
+
+
+def _smali_project(tmp_path, instruction: str) -> str:
+    """A project whose classes.smali has ``instruction`` on line 4."""
+    from repro.corpus.export import dump_app
+    from repro.frontend import load_app_from_dir
+
+    project = tmp_path / "dumped"
+    dump_app(load_app_from_dir(PROJECT), str(project))
+    smali = project / "classes.smali"
+    lines = smali.read_text().splitlines()
+    assert lines[3].startswith(".method")
+    lines.insert(4, "    " + instruction)
+    smali.write_text("\n".join(lines) + "\n")
+    return str(project)
+
+
+class TestLoadErrors:
+    """Malformed input prints one located line and exits 2, no traceback."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_alite_parse_error(self, command, capsys):
+        assert main([command, BROKEN]) == 2
+        err = capsys.readouterr().err
+        where = os.path.join(BROKEN, "src", "BrokenActivity.alite")
+        assert err == f"repro: error: {where}:12: unexpected token ''\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_dalvik_syntax_error_names_the_file(self, command, tmp_path, capsys):
+        project = _smali_project(tmp_path, "move v0")
+        assert main([command, project]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"repro: error: {os.path.join(project, 'classes.smali')}:5: "
+            "malformed 'move v0'"
+        )
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_layout_error(self, tmp_path, capsys):
+        (tmp_path / "res" / "layout").mkdir(parents=True)
+        (tmp_path / "res" / "layout" / "main.xml").write_text("<LinearLayout>")
+        assert main(["analyze", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: {tmp_path}: main: XML parse error")
+        assert err.count("\n") == 1
+
+    def test_validation_error(self, tmp_path, capsys):
+        project = _smali_project(tmp_path, "move v0, v1")
+        assert main(["lint", project]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: {project}: ")
+        assert "undeclared local 'v0'" in err and err.count("\n") == 1

@@ -1,11 +1,14 @@
 """Unit and round-trip tests for the Dalvik-text frontend."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import analyze
 from repro.app import AndroidApp
 from repro.core.metrics import compute_graph_stats, compute_precision
+from repro.corpus.apps import APP_SPECS
 from repro.corpus.connectbot import build_connectbot_example
+from repro.corpus.generator import generate_app
 from repro.dex import (
     DexSyntaxError,
     assemble_program,
@@ -13,8 +16,14 @@ from repro.dex import (
     parse_dex_text,
     type_to_descriptor,
 )
-from repro.dex.descriptors import join_method_descriptor, split_method_descriptor
-from repro.ir.statements import Cast, ConstNull, Invoke, InvokeKind
+from repro.dex.descriptors import (
+    escape_string,
+    join_method_descriptor,
+    split_method_descriptor,
+    unescape_string,
+)
+from repro.dex.parse import _DexParser
+from repro.ir.statements import Cast, ConstNull, ConstString, Invoke, InvokeKind
 
 
 def _method_with(instruction: str) -> str:
@@ -53,6 +62,19 @@ class TestDescriptors:
 
     def test_empty_params(self):
         assert split_method_descriptor("()V") == ([], "void")
+
+
+class TestStringLiterals:
+    @given(st.text())
+    def test_unescape_inverts_escape(self, value):
+        assert unescape_string(escape_string(value)) == value
+
+    @given(st.text())
+    def test_escaped_literal_is_one_line(self, value):
+        assert len(f'"{escape_string(value)}"'.splitlines()) == 1
+
+    def test_unknown_escape_is_kept(self):
+        assert unescape_string("a\\qb") == "a\\qb"
 
 
 class TestParser:
@@ -190,8 +212,68 @@ class TestParser:
         with pytest.raises(DexSyntaxError, match=message):
             parse_dex_text(text)
 
+    @pytest.mark.parametrize(
+        "value", ["#fff", "x#y", "a # line 99", "two\nlines", 'say "hi"\\', "\\n"]
+    )
+    def test_const_string_roundtrip(self, value):
+        """``#`` inside a literal is text, and every value reloads."""
+        text = _method_with(f'const-string s, "{escape_string(value)}"  # line 7')
+        for _ in range(2):  # the text as written, then as reassembled
+            (stmt,) = parse_dex_text(text).clazz("p.A").method("m", 0).body
+            assert stmt == ConstString("s", value, line=7)
+            text = assemble_program(parse_dex_text(text))
+
+    def test_literal_without_comment_keeps_hash(self):
+        program = parse_dex_text(_method_with('const-string s, "x#y"'))
+        assert program.clazz("p.A").method("m", 0).body == [ConstString("s", "x#y")]
+
+
+class TestOpcodeTable:
+    @pytest.mark.parametrize(
+        "opcode,handler",
+        [
+            ("move-result-object", _DexParser._move_result),
+            ("move", _DexParser._move),
+            ("invoke-static", _DexParser._invoke),
+            ("iget-object", _DexParser._iget),
+            ("const-string", _DexParser._const_string),
+            ("const/4", _DexParser._const),
+            ("return-void", _DexParser._return_void),
+            ("return-object", _DexParser._return),
+        ],
+    )
+    def test_prefix_order(self, opcode, handler):
+        parser = _DexParser("")
+        assert parser._handler(opcode, 1) is handler
+        assert parser.handlers == {opcode: handler}
+
+    @pytest.mark.parametrize(
+        "opcode,message",
+        [("warp", "unknown opcode"), ("moves", "unknown opcode"),
+         ("invoke-super", "unknown invoke"), (".local", "unknown opcode")],
+    )
+    def test_unknown_opcodes_are_not_memoised(self, opcode, message):
+        parser = _DexParser("")
+        with pytest.raises(DexSyntaxError, match=message):
+            parser._handler(opcode, 1)
+        assert parser.handlers == {}
+
+    def test_each_parse_starts_empty(self):
+        text = assemble_program(build_connectbot_example().program)
+        first, second = _DexParser(text), _DexParser(text)
+        first.parse()
+        assert first.handlers and first.types and first.field_refs
+        assert not (second.handlers or second.types or second.field_refs)
+        assert not (second.method_refs or second.signatures)
+
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("spec", APP_SPECS, ids=lambda spec: spec.name)
+    def test_corpus_app_reassembles_identically(self, spec):
+        """Statements, lines, params, locals, fields and casts survive."""
+        text = assemble_program(generate_app(spec).program)
+        assert assemble_program(parse_dex_text(text)) == text
+
     def test_connectbot_solution_preserved(self):
         app = build_connectbot_example()
         program2 = parse_dex_text(assemble_program(app.program))

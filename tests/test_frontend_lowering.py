@@ -4,7 +4,7 @@ import pytest
 
 from repro import analyze
 from repro.frontend import compile_sources, load_app_from_sources
-from repro.frontend.errors import LowerError
+from repro.frontend.errors import FrontendError, LowerError
 from repro.ir.statements import (
     Assign,
     BinOp,
@@ -70,6 +70,23 @@ class TestNameResolution:
     def test_duplicate_class_reported(self):
         with pytest.raises(LowerError, match="duplicate class"):
             compile_sources(["package p; class A { } class A { }"])
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            "package p; class B {",  # parse error
+            "package p; class B { Zorp z; }",  # member type
+            "package p; class B { void f() { x = 1; } }",  # method body
+        ],
+    )
+    def test_error_names_its_source(self, broken):
+        sources = ["package p; class A { }", broken, "package p; class C { }"]
+        with pytest.raises(FrontendError) as info:
+            compile_sources(sources, ["a.alite", "b.alite", "c.alite"])
+        assert info.value.path == "b.alite"
+        with pytest.raises(FrontendError) as info:
+            compile_sources(sources)
+        assert info.value.path is None
 
 
 class TestStatementLowering:

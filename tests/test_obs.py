@@ -446,3 +446,49 @@ class TestBenchTelemetry:
         assert bench_main(["table2", "--profile", "APV"]) == 0
         out = capsys.readouterr().out
         assert "Profile: phase timings" in out
+
+
+# -- load spans from library code ---------------------------------------------
+
+
+class TestLoadSpans:
+    def _spans(self, project):
+        tracer = Tracer()
+        load_app_from_dir(project, tracer=tracer)
+        return [(s.name, None if s.parent is None else tracer.spans[s.parent].name)
+                for s in tracer.spans]
+
+    def test_alite_project(self):
+        assert self._spans(NOTEPAD) == [
+            ("load", None), ("load.alite", "load"), ("load.xml", "load")
+        ]
+
+    def test_dalvik_project(self, tmp_path):
+        from repro.corpus.export import dump_app
+
+        dump_app(load_app_from_dir(NOTEPAD), str(tmp_path))
+        assert self._spans(str(tmp_path)) == [
+            ("load", None), ("load.dex", "load"), ("load.xml", "load")
+        ]
+
+    def test_ambient_tracer_observes_load(self):
+        tracer = obs.enable()
+        try:
+            load_app_from_dir(NOTEPAD)
+        finally:
+            obs.disable()
+        assert [s.name for s in tracer.spans] == ["load", "load.alite", "load.xml"]
+
+    def test_cli_profile_nests_dex_under_load(self, tmp_path, capsys):
+        from repro.corpus.export import dump_app
+
+        project = str(tmp_path / "dumped")
+        dump_app(load_app_from_dir(NOTEPAD), project)
+        target = str(tmp_path / "telemetry.json")
+        assert main(["analyze", project, "--profile-json", target]) == 0
+        with open(target, encoding="utf-8") as f:
+            spans = json.load(f)["spans"]
+        (dex,) = [s for s in spans if s["name"] == "load.dex"]
+        assert spans[dex["parent"]]["name"] == "load"
+        assert [s["name"] for s in spans].count("load") == 1
+        assert obs.active() is None
