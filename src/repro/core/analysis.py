@@ -55,11 +55,11 @@ from __future__ import annotations
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.app import AndroidApp
-from repro.core.builder import BuildResult, build_constraint_graph
+from repro.core.builder import build_constraint_graph
 from repro.core.graph import ConstraintGraph, RelKind
 from repro.core.nodes import (
     ActivityNode,
@@ -94,7 +94,6 @@ from repro.obs.tracer import Tracer, active as active_tracer
 from repro.ir.program import MethodSig
 from repro.platform.api import OpKind
 from repro.platform.classes import ACTIVITY, DIALOG, VIEW
-from repro.platform.events import spec_for_interface
 from repro.resources.layout import LayoutNode
 
 
@@ -180,6 +179,10 @@ class GuiReferenceAnalysis:
         self.work_items = 0
         self.ops_scheduled = 0
         self.ops_skipped = 0
+        # Per-rule evaluations and firings; a tracer receives the
+        # nonzero ones when the solve ends.
+        self.rule_evaluated: Dict[OpKind, int] = dict.fromkeys(OpKind, 0)
+        self.rule_fired: Dict[OpKind, int] = dict.fromkeys(OpKind, 0)
         # -- scheduler state ----------------------------------------------
         # Coalescing worklist: accumulated (not-yet-propagated) delta
         # per node plus a FIFO of nodes with a pending delta. Deltas
@@ -308,7 +311,6 @@ class GuiReferenceAnalysis:
         dirty = self._dirty
         node_deps = self._node_deps
         prov = self._prov
-        empty: Tuple[Tuple[Node, Optional[str]], ...] = ()
         while queue:
             node = queue.popleft()
             delta = pending.pop(node, None)
@@ -317,7 +319,10 @@ class GuiReferenceAnalysis:
                 continue
             changed = True
             self.work_items += 1
-            for succ, type_filter in flow_out.get(node, empty):
+            successors = flow_out.get(node)
+            if successors is None:
+                continue
+            for succ, type_filter in successors.items():
                 # Inlined _add_values: this loop is
                 # the solver's hottest path and the call overhead alone
                 # is a double-digit share of solve time. Any semantic
@@ -425,7 +430,7 @@ class GuiReferenceAnalysis:
             values0 = self.values_added
             work0 = self.work_items
             flow0 = self.graph.flow_edge_count()
-            rel0 = self._rel_edge_total()
+            rel0 = self.graph.rel_edge_total()
             desc_hits0 = self.graph.desc_cache_hits
             desc_misses0 = self.graph.desc_cache_misses
             sub_hits0 = self.hierarchy.subtype_cache_hits
@@ -435,6 +440,16 @@ class GuiReferenceAnalysis:
                 span.attrs["rounds"] = self.rounds
                 span.attrs["converged"] = self.converged
                 span.attrs["solver"] = self.options.solver
+            for kind, count in self.rule_evaluated.items():
+                if count:
+                    tracer.counter(obs_names.RULE_EVALUATED[kind], count)
+            for kind, count in self.rule_fired.items():
+                if count:
+                    tracer.counter(obs_names.RULE_FIRED[kind], count)
+            if self.xml_handlers:
+                tracer.counter(
+                    obs_names.COUNTER_XML_ONCLICK_BOUND, len(self.xml_handlers)
+                )
             tracer.counter(obs_names.COUNTER_ROUNDS, self.rounds)
             tracer.counter(
                 obs_names.COUNTER_VALUES_ADDED, self.values_added - values0
@@ -445,7 +460,7 @@ class GuiReferenceAnalysis:
                 self.graph.flow_edge_count() - flow0,
             )
             tracer.counter(
-                obs_names.COUNTER_REL_EDGES_ADDED, self._rel_edge_total() - rel0
+                obs_names.COUNTER_REL_EDGES_ADDED, self.graph.rel_edge_total() - rel0
             )
             tracer.counter(obs_names.COUNTER_OPS_SCHEDULED, self.ops_scheduled)
             tracer.counter(obs_names.COUNTER_OPS_SKIPPED, self.ops_skipped)
@@ -495,9 +510,6 @@ class GuiReferenceAnalysis:
             ops_skipped=self.ops_skipped,
             provenance=self._prov,
         )
-
-    def _rel_edge_total(self) -> int:
-        return sum(self.graph.rel_edge_count(kind) for kind in RelKind)
 
     def _solve(self) -> None:
         started = time.perf_counter()
@@ -560,51 +572,42 @@ class GuiReferenceAnalysis:
         hierarchies grew), then drain. True when a rule fired, a handler
         was bound, or a value propagated.
 
-        With a tracer, every evaluation and firing is counted; a
-        scheduled round passes ``skipped`` (the ops it left out) and
-        also emits the per-round event, the cross-check sweep does not.
+        Every evaluation and firing is counted per rule kind. A
+        scheduled round passes ``skipped`` (the ops it left out) and,
+        with a tracer, emits the per-round event; the cross-check sweep
+        does not.
         """
         self.ops_scheduled += len(batch)
-        tracer = self.tracer
-        process = self._process_op
-        changed = False
-        if tracer is None:
-            for op in batch:
-                if process(op):
-                    changed = True
-            if self.options.model_xml_onclick and (sweep or self._xml_dirty):
-                changed |= self._bind_xml_onclick()
-            self._xml_dirty = False
-            return self._drain() or changed
         graph = self.graph
         round_values = self.values_added
         round_work = self.work_items
         round_flow = graph.flow_edge_count()
-        round_rel = self._rel_edge_total()
+        round_rel = graph.rel_edge_total()
+        process = self._process_op
+        evaluated = self.rule_evaluated
+        fired = self.rule_fired
         rules_fired = 0
         for op in batch:
-            tracer.counter(obs_names.RULE_EVALUATED[op.kind])
+            kind = op.kind
+            evaluated[kind] += 1
             if process(op):
-                tracer.counter(obs_names.RULE_FIRED[op.kind])
+                fired[kind] += 1
                 rules_fired += 1
         changed = rules_fired > 0
         if self.options.model_xml_onclick and (sweep or self._xml_dirty):
-            bindings0 = len(self.xml_handlers)
             changed |= self._bind_xml_onclick()
-            bound = len(self.xml_handlers) - bindings0
-            if bound:
-                tracer.counter(obs_names.COUNTER_XML_ONCLICK_BOUND, bound)
         self._xml_dirty = False
         worklist_depth = len(self._queue)
         changed |= self._drain()
-        if skipped is not None:
+        tracer = self.tracer
+        if tracer is not None and skipped is not None:
             tracer.event(
                 obs_names.EVENT_ROUND,
                 round=self.rounds,
                 rules_fired=rules_fired,
                 values_added=self.values_added - round_values,
                 flow_edges_added=graph.flow_edge_count() - round_flow,
-                rel_edges_added=self._rel_edge_total() - round_rel,
+                rel_edges_added=graph.rel_edge_total() - round_rel,
                 work_items=self.work_items - round_work,
                 worklist_depth=worklist_depth,
                 ops_scheduled=len(batch),
@@ -936,13 +939,8 @@ class GuiReferenceAnalysis:
         class_name = value_class_name(listener)
         if class_name is None:
             return None
-        method = self.hierarchy.lookup(class_name, name, arity)
-        if method is None:
-            return None
-        owner = self.app.program.clazz(method.class_name)
-        if owner is None or owner.is_platform:
-            return None
-        return method.sig
+        method = self.hierarchy.lookup_app_method(class_name, name, arity)
+        return method.sig if method is not None else None
 
     def _handler_view_param(
         self, handler: MethodSig, view_param_index: int
@@ -1151,13 +1149,10 @@ class GuiReferenceAnalysis:
             return set()
         method = None
         for arity in arities:
-            method = self.hierarchy.lookup(class_name, method_name, arity)
+            method = self.hierarchy.lookup_app_method(class_name, method_name, arity)
             if method is not None:
                 break
         if method is None:
-            return set()
-        owner = self.app.program.clazz(method.class_name)
-        if owner is None or owner.is_platform:
             return set()
         self._add_flow_dynamic(
             value, self.graph.var(method.sig, "this"), rule, premises
@@ -1304,11 +1299,10 @@ class GuiReferenceAnalysis:
                 ):
                     if handler_name is None:
                         continue
-                    method = self.hierarchy.lookup(owner_class, handler_name, arity)
+                    method = self.hierarchy.lookup_app_method(
+                        owner_class, handler_name, arity
+                    )
                     if method is None:
-                        continue
-                    owner = self.app.program.clazz(method.class_name)
-                    if owner is None or owner.is_platform:
                         continue
                     param = self.graph.var(method.sig, method.param_names[0])
                     self._add_flow_dynamic(
@@ -1351,11 +1345,8 @@ class GuiReferenceAnalysis:
         key = (act.class_name, view)
         if key in self._bound_xml:
             return False
-        method = self.hierarchy.lookup(act.class_name, handler_name, 1)
+        method = self.hierarchy.lookup_app_method(act.class_name, handler_name, 1)
         if method is None:
-            return False
-        owner = self.app.program.clazz(method.class_name)
-        if owner is None or owner.is_platform:
             return False
         self._bound_xml.add(key)
         param = self.graph.var(method.sig, method.param_names[0])

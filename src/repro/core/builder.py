@@ -17,12 +17,12 @@ application method (all are considered executable) and adds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.app import AndroidApp
-from repro.core.graph import ConstraintGraph, RelKind
-from repro.core.nodes import Node, OpNode, Site, VarNode
+from repro.core.graph import ConstraintGraph
+from repro.core.nodes import Site
 from repro.hierarchy.cha import ClassHierarchy
 from repro.hierarchy.callgraph import resolve_invoke
 from repro.ir.program import Method, MethodSig, Program
@@ -39,7 +39,6 @@ from repro.ir.statements import (
     Goto,
     If,
     Invoke,
-    InvokeKind,
     Label,
     Load,
     New,
@@ -51,7 +50,7 @@ from repro.ir.statements import (
 )
 from repro.obs import names as obs_names
 from repro.obs.tracer import Tracer, active as active_tracer
-from repro.platform.api import OpKind, OpSpec, classify_invoke, is_framework_callback
+from repro.platform.api import OpSpec, classify_invoke, is_framework_callback
 from repro.platform.classes import VIEW
 
 
@@ -62,8 +61,6 @@ class BuildResult:
     graph: ConstraintGraph
     hierarchy: ClassHierarchy
     app: AndroidApp
-    # Methods whose `this` received an activity node (diagnostics).
-    callback_methods: List[MethodSig] = field(default_factory=list)
 
 
 class _GraphBuilder:
@@ -241,7 +238,6 @@ class _GraphBuilder:
                     if m.is_static or not is_framework_callback(m.name):
                         continue
                     g.add_flow(act, g.var(m.sig, "this"))
-                    self.result.callback_methods.append(m.sig)
 
 
 def build_constraint_graph(

@@ -18,10 +18,18 @@ optional ``rel_listener`` callback that fires once per *new*
 relationship edge so the solver's delta scheduler can schedule
 exactly the operation nodes whose inputs changed.
 
+Each fact has one store. Nodes live in the interning tables plus the
+set of ports ``op_recv``/``op_arg`` hand out; ``graph.nodes`` is a
+read-only view over them. A flow edge lives in ``_flow_out`` as
+node → {successor: cast filter}, where the first filter added wins and
+successors keep insertion order. Relationship edges live in per-kind
+forward maps with a backward index. Edge counts are ints bumped on
+insertion.
+
 Two query structures exist specifically for the solver's hot path:
 
-* ``flow_out(node)`` — the successor list with each edge's cast filter
-  attached, so propagation does not pay a per-edge dictionary lookup;
+* ``flow_out(node)`` — the successors with each edge's cast filter
+  attached, so propagation does not pay a per-edge filter lookup;
 * ``descendants_cached(view)`` — the reflexive CHILD-closure backed by
   an incrementally maintained cache. Inserting a CHILD edge
   ``p -> c`` extends every cached set containing ``p`` with the
@@ -32,7 +40,8 @@ Two query structures exist specifically for the solver's hot path:
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Callable, Collection, Dict, FrozenSet, ItemsView, Iterator, List, Optional, Set, Tuple
 
 from repro.core.nodes import (
     ActivityNode,
@@ -48,7 +57,6 @@ from repro.core.nodes import (
     OpRecv,
     Site,
     StaticFieldNode,
-    ValueNode,
     VarNode,
     ViewIdNode,
 )
@@ -72,25 +80,42 @@ class RelKind(enum.Enum):
 
 
 _EMPTY_NODE_SET: FrozenSet[Node] = frozenset()
+_NO_SUCCESSORS: Dict[Node, Optional[str]] = {}
+
+
+class NodeView:
+    """Live, read-only, sized view over the collections that own the
+    nodes (the interning tables' values and the port set)."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, parts: Tuple[Collection[Node], ...]) -> None:
+        self._parts = parts
+
+    def __len__(self) -> int:
+        return sum(map(len, self._parts))
+
+    def __iter__(self) -> Iterator[Node]:
+        return chain.from_iterable(self._parts)
 
 
 class ConstraintGraph:
     """Mutable constraint graph with node interning.
 
-    Flow edges are adjacency lists over :class:`Node`; relationship
+    Flow edges are successor maps over :class:`Node`; relationship
     edges are kept in per-label forward/backward maps for the queries
-    the solver needs (children-of, ids-of, roots-of, ...).
+    the solver needs (children-of, ids-of, parents, ...).
     """
 
     def __init__(self) -> None:
-        self.nodes: Set[Node] = set()
-        self._flow_edge_set: Set[Tuple[Node, Node]] = set()
-        # Successors with the edge's cast filter attached, the solver's
-        # propagation hot path (avoids a dict lookup per edge visit).
-        self._flow_out: Dict[Node, List[Tuple[Node, Optional[str]]]] = {}
-        # Relationship edges, forward and backward.
+        # node -> {successor: cast filter}, in insertion order: the
+        # solver's propagation hot path reads the filter with the edge.
+        self._flow_out: Dict[Node, Dict[Node, Optional[str]]] = {}
+        self._flow_edge_count = 0
+        # Relationship edges, forward and backward, with per-kind counts.
         self._rel: Dict[RelKind, Dict[Node, Set[Node]]] = {k: {} for k in RelKind}
         self._rel_back: Dict[RelKind, Dict[Node, Set[Node]]] = {k: {} for k in RelKind}
+        self._rel_counts: Dict[RelKind, int] = dict.fromkeys(RelKind, 0)
         # Called once per *new* relationship edge (kind, src, dst);
         # installed by the solver for delta scheduling.
         self.rel_listener: Optional[Callable[[RelKind, Node, Node], None]] = None
@@ -120,14 +145,19 @@ class ConstraintGraph:
         self._ops: Dict[Site, OpNode] = {}
         self._op_specs: Dict[OpNode, OpSpec] = {}
         self._infl_views: Dict[Tuple[Site, str, Tuple[int, ...]], InflViewNode] = {}
+        # Operation ports handed out by op_recv/op_arg (value-equal, so
+        # a set keeps one per port).
+        self._ports: Set[Node] = set()
+        # Every node of the graph, derived from the stores above.
+        tables = (self._vars, self._fields, self._static_fields, self._allocs,
+                  self._activities, self._layout_ids, self._view_ids, self._menu_ids,
+                  self._menu_items, self._ops, self._infl_views)
+        self.nodes = NodeView(tuple(t.values() for t in tables) + (self._ports,))
         # Value-category registries.
         self.view_allocs: Set[AllocNode] = set()
         self.listener_allocs: Set[AllocNode] = set()
 
     # -- node interning ------------------------------------------------------
-
-    def _register(self, node: Node) -> None:
-        self.nodes.add(node)
 
     def var(self, method: MethodSig, name: str) -> VarNode:
         key = (method, name)
@@ -135,7 +165,6 @@ class ConstraintGraph:
         if node is None:
             node = VarNode(method, name)
             self._vars[key] = node
-            self._register(node)
         return node
 
     def field(self, class_name: str, field_name: str) -> FieldNode:
@@ -144,7 +173,6 @@ class ConstraintGraph:
         if node is None:
             node = FieldNode(class_name, field_name)
             self._fields[key] = node
-            self._register(node)
         return node
 
     def static_field(self, class_name: str, field_name: str) -> StaticFieldNode:
@@ -153,7 +181,6 @@ class ConstraintGraph:
         if node is None:
             node = StaticFieldNode(class_name, field_name)
             self._static_fields[key] = node
-            self._register(node)
         return node
 
     def alloc(
@@ -163,7 +190,6 @@ class ConstraintGraph:
         if node is None:
             node = AllocNode(site, class_name)
             self._allocs[site] = node
-            self._register(node)
             if is_view:
                 self.view_allocs.add(node)
             if is_listener:
@@ -175,7 +201,6 @@ class ConstraintGraph:
         if node is None:
             node = ActivityNode(class_name)
             self._activities[class_name] = node
-            self._register(node)
         return node
 
     def layout_id(self, name: str, value: int) -> LayoutIdNode:
@@ -183,7 +208,6 @@ class ConstraintGraph:
         if node is None:
             node = LayoutIdNode(name, value)
             self._layout_ids[name] = node
-            self._register(node)
         return node
 
     def view_id(self, name: str, value: int) -> ViewIdNode:
@@ -191,7 +215,6 @@ class ConstraintGraph:
         if node is None:
             node = ViewIdNode(name, value)
             self._view_ids[name] = node
-            self._register(node)
         return node
 
     def menu_id(self, name: str, value: int) -> MenuIdNode:
@@ -199,7 +222,6 @@ class ConstraintGraph:
         if node is None:
             node = MenuIdNode(name, value)
             self._menu_ids[name] = node
-            self._register(node)
         return node
 
     def menu_item(
@@ -210,7 +232,6 @@ class ConstraintGraph:
         if node is None:
             node = MenuItemNode(op_site, menu, index, id_name)
             self._menu_items[key] = node
-            self._register(node)
         return node
 
     def op(self, kind: OpKind, site: Site, spec: OpSpec) -> OpNode:
@@ -219,7 +240,6 @@ class ConstraintGraph:
             node = OpNode(kind, site)
             self._ops[site] = node
             self._op_specs[node] = spec
-            self._register(node)
         return node
 
     def op_spec(self, op: OpNode) -> OpSpec:
@@ -227,12 +247,12 @@ class ConstraintGraph:
 
     def op_recv(self, op: OpNode) -> OpRecv:
         node = OpRecv(op)
-        self._register(node)
+        self._ports.add(node)
         return node
 
     def op_arg(self, op: OpNode, index: int = 0) -> OpArg:
         node = OpArg(op, index)
-        self._register(node)
+        self._ports.add(node)
         return node
 
     def infl_view(
@@ -248,7 +268,6 @@ class ConstraintGraph:
         if node is None:
             node = InflViewNode(op_site, layout, path, view_class, id_name)
             self._infl_views[key] = node
-            self._register(node)
         return node
 
     # -- accessors -------------------------------------------------------------
@@ -280,11 +299,26 @@ class ConstraintGraph:
     def infl_view_nodes(self) -> List[InflViewNode]:
         return list(self._infl_views.values())
 
-    def var_nodes(self) -> List[VarNode]:
-        return list(self._vars.values())
+    # Lookups never intern: queries over a solved graph must not grow it.
 
     def lookup_var(self, method: MethodSig, name: str) -> Optional[VarNode]:
         return self._vars.get((method, name))
+
+    def lookup_alloc(self, site: Site) -> Optional[AllocNode]:
+        return self._allocs.get(site)
+
+    def lookup_activity(self, class_name: str) -> Optional[ActivityNode]:
+        return self._activities.get(class_name)
+
+    def lookup_infl_view(
+        self, op_site: Site, layout: str, path: Tuple[int, ...]
+    ) -> Optional[InflViewNode]:
+        return self._infl_views.get((op_site, layout, path))
+
+    def lookup_menu_item(
+        self, op_site: Site, menu: str, index: int
+    ) -> Optional[MenuItemNode]:
+        return self._menu_items.get((op_site, menu, index))
 
     def lookup_layout_id(self, name: str) -> Optional[LayoutIdNode]:
         return self._layout_ids.get(name)
@@ -303,29 +337,31 @@ class ConstraintGraph:
         (abstract objects of) subtypes of the named class — used for
         cast statements, mirroring the type filtering of standard
         reference analyses. Values without a run-time class (ids) pass.
+        Re-adding an existing edge keeps its first filter.
         """
-        key = (src, dst)
-        if key in self._flow_edge_set:
+        out = self._flow_out.get(src)
+        if out is None:
+            out = self._flow_out[src] = {}
+        elif dst in out:
             return False
-        self._flow_edge_set.add(key)
-        self._flow_out.setdefault(src, []).append((dst, type_filter))
-        self._register(src)
-        self._register(dst)
+        out[dst] = type_filter
+        self._flow_edge_count += 1
         return True
 
-    def flow_out(self, node: Node) -> Sequence[Tuple[Node, Optional[str]]]:
+    def flow_out(self, node: Node) -> ItemsView[Node, Optional[str]]:
         """``(successor, cast filter)`` pairs for every edge out of
-        ``node`` — the propagation hot path. Read-only."""
-        return self._flow_out.get(node, ())
-
-    def has_flow(self, src: Node, dst: Node) -> bool:
-        return (src, dst) in self._flow_edge_set
+        ``node``, in insertion order — the propagation hot path."""
+        return self._flow_out.get(node, _NO_SUCCESSORS).items()
 
     def flow_edges(self) -> Iterator[Tuple[Node, Node]]:
-        return iter(self._flow_edge_set)
+        """Every flow edge: sources in the order their first edge was
+        added, each source's successors in insertion order."""
+        for src, out in self._flow_out.items():
+            for dst in out:
+                yield src, dst
 
     def flow_edge_count(self) -> int:
-        return len(self._flow_edge_set)
+        return self._flow_edge_count
 
     # -- relationship edges ---------------------------------------------------------
 
@@ -352,8 +388,7 @@ class ConstraintGraph:
             return False
         forward.add(dst)
         self._rel_back[kind].setdefault(dst, set()).add(src)
-        self._register(src)
-        self._register(dst)
+        self._rel_counts[kind] += 1
         if kind is RelKind.CHILD:
             self._extend_descendant_cache(src, dst)
         if self.provenance is not None and rule is not None:
@@ -365,9 +400,6 @@ class ConstraintGraph:
     def rel(self, kind: RelKind, src: Node) -> Set[Node]:
         return set(self._rel[kind].get(src, ()))
 
-    def rel_back(self, kind: RelKind, dst: Node) -> Set[Node]:
-        return set(self._rel_back[kind].get(dst, ()))
-
     def rel_view(self, kind: RelKind, src: Node) -> FrozenSet[Node]:
         """Like :meth:`rel` but returns the internal (live) set without
         copying. Callers must not mutate it and must not add edges of
@@ -375,14 +407,12 @@ class ConstraintGraph:
         return self._rel[kind].get(src, _EMPTY_NODE_SET)  # type: ignore[return-value]
 
     def rel_back_view(self, kind: RelKind, dst: Node) -> FrozenSet[Node]:
-        """Non-copying :meth:`rel_back`; same caveats as :meth:`rel_view`.
+        """The sources of ``kind`` edges into ``dst``, as the internal
+        (live) set; same caveats as :meth:`rel_view`.
 
         For ``HAS_ID`` this is the id→views inverted index the solver's
         ``FindView`` rules intersect against."""
         return self._rel_back[kind].get(dst, _EMPTY_NODE_SET)  # type: ignore[return-value]
-
-    def has_rel(self, kind: RelKind, src: Node, dst: Node) -> bool:
-        return dst in self._rel[kind].get(src, ())
 
     def rel_edges(self, kind: RelKind) -> Iterator[Tuple[Node, Node]]:
         for src, dsts in self._rel[kind].items():
@@ -390,27 +420,18 @@ class ConstraintGraph:
                 yield src, dst
 
     def rel_edge_count(self, kind: RelKind) -> int:
-        return sum(len(d) for d in self._rel[kind].values())
+        return self._rel_counts[kind]
+
+    def rel_edge_total(self) -> int:
+        return sum(self._rel_counts.values())
 
     # Structured shorthands used by the solver and the results API.
 
     def children_of(self, view: Node) -> Set[Node]:
         return self.rel(RelKind.CHILD, view)
 
-    def parents_of(self, view: Node) -> Set[Node]:
-        return self.rel_back(RelKind.CHILD, view)
-
     def ids_of(self, view: Node) -> Set[Node]:
         return self.rel(RelKind.HAS_ID, view)
-
-    def views_with_id(self, id_node: ViewIdNode) -> Set[Node]:
-        return self.rel_back(RelKind.HAS_ID, id_node)
-
-    def roots_of(self, holder: Node) -> Set[Node]:
-        return self.rel(RelKind.ROOT, holder)
-
-    def listeners_of(self, view: Node) -> Set[Node]:
-        return self.rel(RelKind.LISTENER, view)
 
     def descendants_of(self, view: Node, include_self: bool = True) -> Set[Node]:
         """Reflexive-transitive closure over CHILD edges (``ancestorOf``
@@ -522,8 +543,8 @@ class ConstraintGraph:
     def summary(self) -> Dict[str, int]:
         return {
             "nodes": len(self.nodes),
-            "flow_edges": len(self._flow_edge_set),
-            "rel_edges": sum(self.rel_edge_count(k) for k in RelKind),
+            "flow_edges": self._flow_edge_count,
+            "rel_edges": self.rel_edge_total(),
             "ops": len(self._ops),
             "allocs": len(self._allocs),
             "inflated_views": len(self._infl_views),

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core.graph import RelKind
 from repro.core.nodes import OpNode
 from repro.core.results import AnalysisResult
 from repro.platform.api import OpKind
@@ -148,7 +147,7 @@ def compute_solver_stats(result: AnalysisResult) -> SolverStats:
         values_added=result.values_added,
         work_items=result.work_items,
         flow_edges=graph.flow_edge_count(),
-        rel_edges=sum(graph.rel_edge_count(kind) for kind in RelKind),
+        rel_edges=graph.rel_edge_total(),
         solver=result.solver,
         ops_scheduled=result.ops_scheduled,
         ops_skipped=result.ops_skipped,

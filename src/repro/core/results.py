@@ -9,11 +9,10 @@ Section 6 describes as input to test generation, and hierarchy dumps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.graph import ConstraintGraph, RelKind
 from repro.core.nodes import (
-    ActivityNode,
     AllocNode,
     InflViewNode,
     MenuItemNode,
@@ -22,13 +21,12 @@ from repro.core.nodes import (
     OpNode,
     OpRecv,
     ValueNode,
-    VarNode,
     value_class_name,
 )
 from repro.hierarchy.cha import ClassHierarchy
 from repro.ir.program import MethodSig
 from repro.platform.api import OpKind
-from repro.platform.events import EventKind, ListenerSpec, spec_for_interface
+from repro.platform.events import EventKind, spec_for_interface
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.app import AndroidApp
@@ -161,7 +159,9 @@ class AnalysisResult:
         return self.graph.rel(RelKind.LISTENER, view)  # type: ignore[return-value]
 
     def roots_of_activity(self, activity_class: str) -> Set[ValueNode]:
-        act = self.graph.activity(activity_class)
+        act = self.graph.lookup_activity(activity_class)
+        if act is None:
+            return set()
         return self.graph.rel(RelKind.ROOT, act)  # type: ignore[return-value]
 
     def activity_views(self, activity_class: str) -> Set[ValueNode]:
@@ -184,13 +184,10 @@ class AnalysisResult:
                 spec = spec_for_interface(interface)
                 if spec is None:
                     continue
-                method = self.hierarchy.lookup(
+                method = self.hierarchy.lookup_app_method(
                     class_name, spec.handler, spec.handler_arity
                 )
                 if method is None:
-                    continue
-                owner = self.app.program.clazz(method.class_name)
-                if owner is None or owner.is_platform:
                     continue
                 handlers.append((spec.event, method.sig))
         return handlers

@@ -14,7 +14,7 @@ programmatically. The classic pipeline:
   XML + manifest into an :class:`~repro.app.AndroidApp`.
 """
 
-from repro.frontend.errors import FrontendError, LexError, LowerError, ParseError
+from repro.frontend.errors import FrontendError, LexError, LowerError, ParseError, ProjectError
 from repro.frontend.lexer import Token, tokenize
 from repro.frontend.parser import parse_compilation_unit
 from repro.frontend.lowering import compile_sources
@@ -25,6 +25,7 @@ __all__ = [
     "LexError",
     "LowerError",
     "ParseError",
+    "ProjectError",
     "Token",
     "compile_sources",
     "load_app_from_dir",

@@ -31,3 +31,7 @@ class ParseError(FrontendError):
 
 class LowerError(FrontendError):
     """Name-resolution or typing error during lowering."""
+
+
+class ProjectError(FrontendError):
+    """The project directory is missing or holds no code."""

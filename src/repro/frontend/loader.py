@@ -16,6 +16,7 @@ import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.app import AndroidApp, SourceFile
+from repro.frontend.errors import ProjectError
 from repro.frontend.lowering import compile_sources
 from repro.hierarchy.cha import ClassHierarchy
 from repro.obs import names as obs_names
@@ -96,7 +97,13 @@ def load_app_from_dir(
     and ``load.xml`` children time compilation, Dalvik text decoding
     and XML parsing. Without one, tracing costs a branch or two per
     call and nothing per file or line.
+
+    Raises :class:`~repro.frontend.errors.ProjectError` when ``path``
+    is not a directory or holds neither ``.alite`` sources nor
+    ``classes.smali``.
     """
+    if not os.path.isdir(path):
+        raise ProjectError("no such project directory")
     if tracer is None:
         tracer = active_tracer()
     if tracer is None:
@@ -132,28 +139,14 @@ def _load_dir(path: str, name: Optional[str], tracer: Optional[Tracer]) -> Andro
         from repro.corpus.export import load_dumped_app
 
         return load_dumped_app(path, name=name, tracer=tracer)
-    layouts: Dict[str, str] = {}
-    layout_root = os.path.join(path, "res", "layout")
-    if os.path.isdir(layout_root):
-        for filename in sorted(os.listdir(layout_root)):
-            if filename.endswith(".xml"):
-                layout_name = os.path.splitext(filename)[0]
-                with open(os.path.join(layout_root, filename), encoding="utf-8") as f:
-                    layouts[layout_name] = f.read()
-    menus: Dict[str, str] = {}
-    menu_root = os.path.join(path, "res", "menu")
-    if os.path.isdir(menu_root):
-        for filename in sorted(os.listdir(menu_root)):
-            if filename.endswith(".xml"):
-                menu_name = os.path.splitext(filename)[0]
-                with open(os.path.join(menu_root, filename), encoding="utf-8") as f:
-                    menus[menu_name] = f.read()
+    layouts = _read_xml_dir(os.path.join(path, "res", "layout"))
+    menus = _read_xml_dir(os.path.join(path, "res", "menu"))
     manifest_xml = None
     manifest_path = os.path.join(path, "AndroidManifest.xml")
     if os.path.isfile(manifest_path):
         with open(manifest_path, encoding="utf-8") as f:
             manifest_xml = f.read()
-    return load_app_from_sources(
+    app = load_app_from_sources(
         name,
         sources,
         layouts,
@@ -162,3 +155,19 @@ def _load_dir(path: str, name: Optional[str], tracer: Optional[Tracer]) -> Andro
         source_paths=source_paths,
         tracer=tracer,
     )
+    # Checked after the resources parse, so a malformed layout in a
+    # project without code is still reported at its file.
+    if not sources:
+        raise ProjectError("no .alite sources and no classes.smali")
+    return app
+
+
+def _read_xml_dir(directory: str) -> Dict[str, str]:
+    """Resource name -> text of each ``*.xml`` file in ``directory``."""
+    texts: Dict[str, str] = {}
+    if os.path.isdir(directory):
+        for filename in sorted(os.listdir(directory)):
+            if filename.endswith(".xml"):
+                with open(os.path.join(directory, filename), encoding="utf-8") as f:
+                    texts[os.path.splitext(filename)[0]] = f.read()
+    return texts

@@ -7,9 +7,9 @@ subtype query per call site.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.ir.program import Clazz, Method, Program
+from repro.ir.program import Method, Program
 
 
 class ClassHierarchy:
@@ -119,6 +119,20 @@ class ClassHierarchy:
                 break
         self._dispatch_cache[key] = result
         return result
+
+    def lookup_app_method(
+        self, receiver_class: str, name: str, arity: int
+    ) -> Optional[Method]:
+        """:meth:`lookup`, or None when the resolved method is declared
+        by a platform class: only application code has a body to
+        analyse."""
+        method = self.lookup(receiver_class, name, arity)
+        if method is None:
+            return None
+        owner = self.program.clazz(method.class_name)
+        if owner is None or owner.is_platform:
+            return None
+        return method
 
     def cha_targets(
         self, declared_class: str, name: str, arity: int

@@ -10,15 +10,11 @@ over-approximate every observed run-time behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Union
+from typing import List, Optional
 
 from repro.core.nodes import (
-    ActivityNode,
-    AllocNode,
-    InflViewNode,
     Node,
     OpArg,
-    OpNode,
     OpRecv,
     Site,
     ValueNode,
@@ -31,7 +27,6 @@ from repro.semantics.values import (
     FrameworkTag,
     InflTag,
     MenuItemTag,
-    Obj,
 )
 
 
@@ -64,27 +59,13 @@ def tag_to_value(result: AnalysisResult, tag: CreationTag) -> Optional[ValueNode
     """Map a runtime creation tag to its static abstraction node."""
     graph = result.graph
     if isinstance(tag, ActivityTag):
-        return graph.activity(tag.class_name)
+        return graph.lookup_activity(tag.class_name)
     if isinstance(tag, AllocTag):
-        for alloc in graph.allocs():
-            if alloc.site == tag.site:
-                return alloc
+        return graph.lookup_alloc(tag.site)
     if isinstance(tag, InflTag):
-        for infl in graph.infl_view_nodes():
-            if (
-                infl.op_site == tag.op_site
-                and infl.layout == tag.layout
-                and infl.path == tag.path
-            ):
-                return infl
+        return graph.lookup_infl_view(tag.op_site, tag.layout, tag.path)
     if isinstance(tag, MenuItemTag):
-        for item in graph.menu_item_nodes():
-            if (
-                item.op_site == tag.op_site
-                and item.menu == tag.menu
-                and item.index == tag.index
-            ):
-                return item
+        return graph.lookup_menu_item(tag.op_site, tag.menu, tag.index)
     return None
 
 

@@ -125,6 +125,20 @@ class TestLoadErrors:
         )
         assert "Traceback" not in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_or_codeless_project(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "no_such_dir")
+        assert main([command, missing]) == 2
+        assert capsys.readouterr().err == (
+            f"repro: error: {missing}: no such project directory\n"
+        )
+        empty = tmp_path / "empty"
+        (empty / "res" / "layout").mkdir(parents=True)
+        assert main([command, str(empty)]) == 2
+        assert capsys.readouterr().err == (
+            f"repro: error: {empty}: no .alite sources and no classes.smali\n"
+        )
+
     def test_layout_error(self, tmp_path, capsys):
         (tmp_path / "res" / "layout").mkdir(parents=True)
         (tmp_path / "res" / "layout" / "main.xml").write_text("<LinearLayout>")

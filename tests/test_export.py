@@ -1,9 +1,11 @@
 """Tests for DOT/JSON export of graphs and solutions."""
 
 import json
+import re
 
 import pytest
 
+from repro import analyze
 from repro.core.export import graph_to_dot, result_to_json
 
 
@@ -21,6 +23,14 @@ class TestDot:
         slim = graph_to_dot(connectbot_result.graph, include_vars=False)
         assert len(slim) < len(full)
         assert "onCreate$g" not in slim
+
+    def test_identical_across_analyses(self, connectbot_app):
+        # Two analyses share no node objects, so ids derived from
+        # identity or hashes would differ between them.
+        first = graph_to_dot(analyze(connectbot_app).graph)
+        assert first == graph_to_dot(analyze(connectbot_app).graph)
+        declared = re.findall(r"^  (n\d+) \[", first, re.MULTILINE)
+        assert declared == [f"n{i}" for i in range(len(declared))]
 
     def test_without_flow(self, connectbot_result):
         dot = graph_to_dot(connectbot_result.graph, include_flow=False)

@@ -14,6 +14,7 @@ from repro import analyze
 from repro.app import AndroidApp
 from repro.core.graph import ConstraintGraph, RelKind
 from repro.core.nodes import Site
+from repro.platform.api import OpKind, OpSpec
 from repro.corpus.generator import plan_multiplicities
 from repro.dex.descriptors import (
     descriptor_to_type,
@@ -216,11 +217,20 @@ class TestGraphInvariants:
 
 _INDEX_VIEWS = 6
 _INDEX_IDS = 3
+# Flow edges run between the views, two variables, one op node and its
+# two ports; repeated edges may carry a different cast filter.
+_FLOW_NODES = _INDEX_VIEWS + 5
+_FLOW_FILTERS = st.sampled_from([None, VIEW, "android.widget.Button"])
 # Edge insertions in random order (self-loops and cycles included),
 # interleaved with cache queries so that later insertions must extend
 # already-cached closures.
 _index_steps = st.lists(
     st.one_of(
+        st.tuples(
+            st.just("flow"),
+            st.integers(0, _FLOW_NODES - 1),
+            st.tuples(st.integers(0, _FLOW_NODES - 1), _FLOW_FILTERS),
+        ),
         st.tuples(
             st.just("child"),
             st.integers(0, _INDEX_VIEWS - 1),
@@ -233,13 +243,14 @@ _index_steps = st.lists(
         ),
         st.tuples(st.just("query"), st.integers(0, _INDEX_VIEWS - 1), st.just(0)),
     ),
-    max_size=40,
+    max_size=60,
 )
 
 
 class TestSolverIndexProperty:
     """The solver's incremental indexes agree with the brute-force graph
-    queries (``descendants_of``, ``rel``) under any insertion order."""
+    queries (``descendants_of``, ``rel``) under any insertion order, and
+    the single flow-edge store agrees with a reference model."""
 
     @settings(max_examples=200, deadline=None)
     @given(steps=_index_steps)
@@ -251,8 +262,29 @@ class TestSolverIndexProperty:
             for i in range(_INDEX_VIEWS)
         ]
         ids = [graph.view_id(f"id{k}", k) for k in range(_INDEX_IDS)]
+        op = graph.op(
+            OpKind.SETID, Site(sig, 99, 99), OpSpec(OpKind.SETID, arg_index=0)
+        )
+        flow_nodes = views + [
+            graph.var(sig, "x"),
+            graph.var(sig, "y"),
+            op,
+            graph.op_recv(op),
+            graph.op_arg(op, 0),
+        ]
+        # Reference model: source -> {successor: first filter}.
+        expected = {}
         for kind, a, b in steps:
-            if kind == "child":
+            if kind == "flow":
+                dst, type_filter = b
+                src_node, dst_node = flow_nodes[a], flow_nodes[dst]
+                out = expected.setdefault(src_node, {})
+                is_new = dst_node not in out
+                out.setdefault(dst_node, type_filter)
+                assert graph.add_flow(src_node, dst_node, type_filter) == is_new
+                # Ports are value-equal: asking again adds no node.
+                graph.op_recv(op)
+            elif kind == "child":
                 graph.add_rel(RelKind.CHILD, views[a], views[b])
             elif kind == "id":
                 graph.add_rel(RelKind.HAS_ID, views[a], ids[b])
@@ -268,6 +300,18 @@ class TestSolverIndexProperty:
             assert set(graph.rel_back_view(RelKind.HAS_ID, id_node)) == {
                 v for v in views if id_node in graph.rel(RelKind.HAS_ID, v)
             }
+        edges = list(graph.flow_edges())
+        assert graph.flow_edge_count() == len(edges) == len(set(edges))
+        assert set(edges) == {
+            (src, dst) for src, out in expected.items() for dst in out
+        }
+        for node in flow_nodes:
+            assert list(graph.flow_out(node)) == list(
+                expected.get(node, {}).items()
+            )
+        # Interned nodes (views, ids, variables, the op) plus two ports.
+        assert len(graph.nodes) == len(views) + len(ids) + 3 + 2
+        assert set(graph.nodes) == set(flow_nodes) | set(ids)
 
 
 class TestDexRoundTripProperty:

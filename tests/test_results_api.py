@@ -1,8 +1,14 @@
 """Tests for the AnalysisResult query API and the metrics module."""
 
+import os
+
 import pytest
 
 from repro import analyze
+from repro.frontend import load_app_from_dir
+from repro.semantics import check_soundness, run_app
+from repro.semantics.trace import OpEvent, Trace
+from repro.semantics.values import ActivityTag
 from repro.core.metrics import compute_graph_stats, compute_precision
 from repro.core.nodes import OpArg, OpRecv
 from repro.platform.api import OpKind
@@ -11,6 +17,9 @@ from repro.platform.events import EventKind
 from conftest import make_single_activity_app
 
 ACTIVITY = "app.MainActivity"
+NOTEPAD = os.path.join(
+    os.path.dirname(__file__), "..", "examples", "projects", "notepad"
+)
 
 
 class TestValueQueries:
@@ -79,6 +88,27 @@ class TestStructuralQueries:
         dump2 = connectbot_result.hierarchy_dump("connectbot.ConsoleActivity")
         assert dump1 == dump2
         assert "TerminalView_21 [R.id.console_flip]" in dump1
+
+    def test_queries_do_not_grow_the_graph(self):
+        app = load_app_from_dir(NOTEPAD)
+        result = analyze(app)
+        graph = result.graph
+
+        def counts():
+            return len(graph.nodes), len(graph.activities())
+
+        before = counts()
+        assert result.hierarchy_dump("no.Such") == "no.Such"
+        assert result.activity_views("no.Such") == set()
+        assert counts() == before
+        assert check_soundness(result, run_app(app).trace).is_sound
+        op = graph.ops()[0]
+        unknown = Trace([OpEvent(op.kind.value, op.site, receiver=ActivityTag("no.Such"))])
+        report = check_soundness(result, unknown)
+        assert report.violations == [
+            f"{op} receiver: no static abstraction for activity:no.Such"
+        ]
+        assert counts() == before
 
 
 class TestMetricsEdgeCases:

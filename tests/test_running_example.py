@@ -125,7 +125,7 @@ class TestFigure4Relationships:
         r = connectbot_result
         rl19 = _infl(r, "RelativeLayout_19.1")
         op19 = _op(r, OpKind.INFLATE1, 19)
-        assert r.graph.has_rel(RelKind.INFL_ROOT, rl19, op19)
+        assert op19 in r.graph.rel_view(RelKind.INFL_ROOT, rl19)
         origin = r.graph.rel(RelKind.LAYOUT_ORIGIN, rl19)
         assert {str(v) for v in origin} == {"R.layout.item_terminal"}
 
